@@ -14,6 +14,7 @@ stand-ins:
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 import numpy as np
@@ -29,14 +30,20 @@ __all__ = ["imagenet_like_manifest", "mnist_like_manifest",
 IMAGENET_MEAN_BYTES = 110_000
 IMAGENET_SIGMA = 0.35
 MNIST_BYTES = 700  # one IDX-style record + framing
+MIN_JPEG_BYTES = 2048  # headers + tables: the floor of any sampled size
 
 
 def jpeg_size_sampler(mean_bytes: float = IMAGENET_MEAN_BYTES,
                       sigma: float = IMAGENET_SIGMA):
     """Sampler factory for encoded-JPEG sizes (lognormal)."""
+    if mean_bytes <= 0:
+        raise ValueError("mean_bytes must be positive")
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
+    mu = np.log(mean_bytes)
 
     def sample(rng: np.random.Generator) -> int:
-        return max(2048, int(rng.lognormal(np.log(mean_bytes), sigma)))
+        return max(MIN_JPEG_BYTES, int(rng.lognormal(mu, sigma)))
 
     return sample
 
@@ -48,13 +55,18 @@ def imagenet_like_manifest(n: int, seeds: Optional[SeedBank] = None,
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = (seeds or SeedBank()).stream("imagenet-sizes")
-    sampler = jpeg_size_sampler()
-    manifest = FileManifest(name="ilsvrc12-like")
-    for i in range(n):
-        manifest.add(f"img_{i:08d}.jpg", size_bytes=sampler(rng),
-                     height=hw[0], width=hw[1], channels=3,
-                     label=int(rng.integers(num_classes)))
-    return manifest
+    # The draws interleave per file (size, then label), exactly as the
+    # add() loop with jpeg_size_sampler() would take them.
+    mu = np.log(IMAGENET_MEAN_BYTES)
+    lognormal, integers = rng.lognormal, rng.integers
+    sizes, labels = array("q"), array("q")
+    add_size, add_label = sizes.append, labels.append
+    for _ in range(n):
+        add_size(max(MIN_JPEG_BYTES, int(lognormal(mu, IMAGENET_SIGMA))))
+        add_label(int(integers(num_classes)))
+    return FileManifest.from_columns(
+        "img_{:08d}.jpg", sizes, labels, height=hw[0], width=hw[1],
+        channels=3, name="ilsvrc12-like")
 
 
 def mnist_like_manifest(n: int = 60_000,
@@ -63,12 +75,11 @@ def mnist_like_manifest(n: int = 60_000,
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = (seeds or SeedBank()).stream("mnist-labels")
-    manifest = FileManifest(name="mnist-like")
-    for i in range(n):
-        manifest.add(f"digit_{i:06d}", size_bytes=MNIST_BYTES,
-                     height=28, width=28, channels=1,
-                     label=int(rng.integers(10)))
-    return manifest
+    integers = rng.integers
+    labels = [int(integers(10)) for _ in range(n)]
+    return FileManifest.from_columns(
+        "digit_{:06d}", np.full(n, MNIST_BYTES, dtype=np.int64), labels,
+        height=28, width=28, channels=1, name="mnist-like")
 
 
 def synthetic_photo(rng: np.random.Generator, h: int, w: int,

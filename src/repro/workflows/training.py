@@ -102,8 +102,8 @@ def ideal_training_throughput(model: str, num_gpus: int,
 
 def _make_manifest(model: str, n: Optional[int], seeds: SeedBank):
     if model == "lenet5":
-        return mnist_like_manifest(n or MNIST_N, seeds)
-    return imagenet_like_manifest(n or IMAGENET_N, seeds)
+        return mnist_like_manifest(MNIST_N if n is None else n, seeds)
+    return imagenet_like_manifest(IMAGENET_N if n is None else n, seeds)
 
 
 def _make_backend(cfg: TrainingConfig, env, testbed, cpu, manifest, spec,
@@ -149,6 +149,12 @@ def run_training(cfg: TrainingConfig,
     periodically, and — when a tracer is present — the depth series and
     final metric state merge into it as Chrome-trace counter tracks.
     """
+    if cfg.dataset_size is not None and cfg.dataset_size < 1:
+        raise ValueError("dataset_size must be >= 1")
+    if cfg.warmup_s < 0:
+        raise ValueError("warmup_s must be >= 0")
+    if cfg.measure_s <= 0:
+        raise ValueError("measure_s must be positive")
     if cfg.telemetry is None:
         return _run_training(cfg, testbed, tracer_factory, None)
     registry = MetricsRegistry(name=f"training.{cfg.backend}")

@@ -108,8 +108,34 @@ def test_manifest_gray_decode_work():
 
 
 def test_manifest_validation():
+    for bad in (dict(size_bytes=0), dict(size_bytes=-1), dict(height=0),
+                dict(width=0), dict(height=-3), dict(channels=0),
+                dict(channels=2), dict(channels=4)):
+        row = dict(size_bytes=10, height=1, width=1, channels=1) | bad
+        with pytest.raises(ValueError):
+            FileManifest().add("bad", **row)
+        sizes = [10, row.pop("size_bytes"), 10]
+        with pytest.raises(ValueError):
+            FileManifest.from_columns("f{}", sizes, [0, 0, 0], **row)
+
+
+def test_manifest_from_columns_rejects_ragged_columns():
     with pytest.raises(ValueError):
-        FileManifest().add("bad", size_bytes=0, height=1, width=1, channels=1)
+        FileManifest.from_columns("f{}", [10, 10], [0], height=1, width=1,
+                                  channels=1)
+
+
+def test_manifest_indexing_like_a_list():
+    m = FileManifest()
+    for i in range(3):
+        m.add(f"{i}", size_bytes=5000, height=2, width=2, channels=3,
+              label=i)
+    assert m[-1] == m[2] and m[-3] == m[0]
+    assert m[-1].file_id == 2 and m[-1].extents[0].lba == 4
+    assert m[np.int64(1)] == list(m)[1]
+    for idx in (3, -4, 100):
+        with pytest.raises(IndexError):
+            m[idx]
 
 
 def test_manifest_iteration_and_totals():

@@ -65,6 +65,24 @@ def test_run_training_validation():
         run_training(TrainingConfig(model="alexnet", backend="magic"))
 
 
+@pytest.mark.parametrize("bad", [
+    dict(dataset_size=0), dict(dataset_size=-5), dict(warmup_s=-0.1),
+    dict(measure_s=0.0), dict(measure_s=-1.0)])
+def test_run_training_rejects_bad_sizes_and_windows(bad):
+    with pytest.raises(ValueError):
+        run_training(TrainingConfig(model="alexnet", backend="dlbooster",
+                                    **bad))
+
+
+def test_make_manifest_defaults_only_when_size_unset():
+    from repro.sim import SeedBank
+    from repro.workflows.training import MNIST_N, _make_manifest
+    assert len(_make_manifest("lenet5", None, SeedBank(0))) == MNIST_N
+    assert len(_make_manifest("alexnet", 7, SeedBank(0))) == 7
+    with pytest.raises(ValueError):
+        _make_manifest("alexnet", 0, SeedBank(0))
+
+
 def test_run_training_smoke_result_fields():
     res = run_training(TrainingConfig(
         model="alexnet", backend="dlbooster", num_gpus=1,
