@@ -17,7 +17,8 @@ Two fidelity levels share this control path:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Any, Optional
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from ..sim import Channel, Counter, Environment
 from ..storage.nvme import NvmeReadError
 from ..tracing.context import mark_cmd
 from .device import FpgaDevice
-from .units import PipelineUnit
+from .units import FifoStage, PipelineUnit
 
 __all__ = ["DecodeCmd", "FinishRecord", "ImageDecoderMirror"]
 
@@ -110,6 +111,102 @@ class FinishRecord:
     error: Optional[str] = None
 
 
+class DataReader(FifoStage):
+    """Fetches source bytes from NVMe or host DRAM (Fig. 4 DataReader)."""
+
+    def __init__(self, mirror: "ImageDecoderMirror"):
+        super().__init__(mirror.env, f"{mirror.name}.reader", 1,
+                         mirror._fetch_q, mirror._huff_q)
+        self.mirror = mirror
+
+    def _serve(self, way: int, cmd: DecodeCmd) -> bool:
+        mark_cmd(cmd, "fpga.fetch", "service")
+        self._held[way] = cmd
+        mirror = self.mirror
+        tb = mirror.testbed
+        if cmd.source == "disk":
+            if mirror.disk is not None:
+                try:
+                    mirror.disk.read_then(cmd.size_bytes,
+                                          self._finished[way])
+                except NvmeReadError as exc:
+                    # Forward the cmd anyway: the host learns of the
+                    # failure from the error FINISH record, not a hang.
+                    cmd.error = f"NvmeReadError: {exc}"
+                    return self._finish(way)
+                return False
+            delay = cmd.size_bytes / tb.nvme_read_rate
+        elif cmd.source == "dram":
+            # DMA read from host memory (data landed there via NIC).
+            delay = cmd.size_bytes / tb.fpga_dma_rate
+        else:
+            raise ValueError(f"unknown source {cmd.source!r}")
+        self.env.timeout(delay).callbacks.append(self._finished[way])
+        return False
+
+    def _finish(self, way: int) -> bool:
+        cmd = self._held[way]
+        self._held[way] = None
+        mark_cmd(cmd, "fpga.queue", "wait")
+        return self._forward(way, cmd)
+
+
+class DmaWriter(FifoStage):
+    """Writes results to host hugepages, then raises FINISH."""
+
+    def __init__(self, mirror: "ImageDecoderMirror"):
+        super().__init__(mirror.env, f"{mirror.name}.dmaw", 1,
+                         mirror._dma_q, mirror.finish_queue)
+        self.mirror = mirror
+        self._written = [partial(self._on_written, way)
+                         for way in range(self.ways)]
+
+    def _serve(self, way: int, cmd: DecodeCmd) -> bool:
+        mark_cmd(cmd, "fpga.dma", "service")
+        mirror = self.mirror
+        if cmd.error is not None:
+            # No pixels to move; raise an error FINISH immediately so
+            # the host can release the slot.
+            mirror.decode_errors.add()
+            return self._forward(way, FinishRecord(
+                cmd_id=cmd.cmd_id, batch_tag=cmd.batch_tag,
+                dest_phy=cmd.dest_phy, dest_offset=cmd.dest_offset,
+                out_bytes=0, finished_at=self.env.now,
+                status="error", error=cmd.error))
+        self._held[way] = cmd
+        if mirror.device is not None:
+            mirror.device.dma_write_then(cmd.out_bytes, self._written[way])
+        else:
+            self.env.timeout(
+                cmd.out_bytes / mirror.testbed.fpga_dma_rate
+            ).callbacks.append(self._written[way])
+        return False
+
+    def _on_written(self, way: int, _event: Any = None) -> None:
+        cmd = self._held[way]
+        mirror = self.mirror
+        if mirror.functional and cmd.result is not None \
+                and mirror.host_pool is not None:
+            unit = mirror.host_pool.unit_by_phy(cmd.dest_phy)
+            unit.write(cmd.dest_offset, cmd.result)
+        if mirror.injector is not None:
+            stall = mirror.injector.finish_stall_s(mirror.site)
+            if stall > 0.0:
+                self.env.timeout(stall).callbacks.append(
+                    self._finished[way])
+                return
+        self._on_finished(way)
+
+    def _finish(self, way: int) -> bool:
+        cmd = self._held[way]
+        self._held[way] = None
+        self.mirror.decoded.add()
+        return self._forward(way, FinishRecord(
+            cmd_id=cmd.cmd_id, batch_tag=cmd.batch_tag,
+            dest_phy=cmd.dest_phy, dest_offset=cmd.dest_offset,
+            out_bytes=cmd.out_bytes, finished_at=self.env.now))
+
+
 class ImageDecoderMirror:
     """The JPEG decode+resize mirror, pluggable into :class:`FpgaDevice`."""
 
@@ -176,6 +273,8 @@ class ImageDecoderMirror:
             transform=self._resize_fn,
             clb_cost_per_way=CLB_COSTS["resizer"])
         self._units = [self.parser, self.huffman, self.idct, self.resizer]
+        self.reader = DataReader(self)
+        self.dma = DmaWriter(self)
         self._started = False
 
     # -- fidelity-dependent stage bodies ---------------------------------
@@ -241,7 +340,7 @@ class ImageDecoderMirror:
         self.start()
 
     def shutdown(self) -> None:
-        # Processes die with the environment; nothing persistent to undo.
+        # Stages die with the environment; nothing persistent to undo.
         self.device = None
 
     def start(self) -> None:
@@ -250,70 +349,8 @@ class ImageDecoderMirror:
         self._started = True
         for unit in self._units:
             unit.start()
-        self.env.process(self._datareader_loop(), name=f"{self.name}.reader")
-        self.env.process(self._dma_loop(), name=f"{self.name}.dmaw")
-
-    # -- custom stages (need to await shared devices) ---------------------
-    def _datareader_loop(self):
-        """Fetch source bytes from NVMe or host DRAM (Fig. 4 DataReader)."""
-        tb = self.testbed
-        while True:
-            cmd: DecodeCmd = yield from self._fetch_q.get()
-            mark_cmd(cmd, "fpga.fetch", "service")
-            if cmd.source == "disk":
-                if self.disk is not None:
-                    try:
-                        yield from self.disk.read(cmd.size_bytes)
-                    except NvmeReadError as exc:
-                        # Forward the cmd anyway: the host learns of the
-                        # failure from the error FINISH record, not a hang.
-                        cmd.error = f"NvmeReadError: {exc}"
-                else:
-                    yield self.env.timeout(
-                        cmd.size_bytes / tb.nvme_read_rate)
-            elif cmd.source == "dram":
-                # DMA read from host memory (data landed there via NIC).
-                yield self.env.timeout(cmd.size_bytes / tb.fpga_dma_rate)
-            else:
-                raise ValueError(f"unknown source {cmd.source!r}")
-            mark_cmd(cmd, "fpga.queue", "wait")
-            yield from self._huff_q.put(cmd)
-
-    def _dma_loop(self):
-        """Write results to host hugepages, then raise FINISH."""
-        while True:
-            cmd: DecodeCmd = yield from self._dma_q.get()
-            mark_cmd(cmd, "fpga.dma", "service")
-            if cmd.error is not None:
-                # No pixels to move; raise an error FINISH immediately so
-                # the host can release the slot.
-                self.decode_errors.add()
-                record = FinishRecord(
-                    cmd_id=cmd.cmd_id, batch_tag=cmd.batch_tag,
-                    dest_phy=cmd.dest_phy, dest_offset=cmd.dest_offset,
-                    out_bytes=0, finished_at=self.env.now,
-                    status="error", error=cmd.error)
-                yield from self.finish_queue.put(record)
-                continue
-            if self.device is not None:
-                yield from self.device.dma_write(cmd.out_bytes)
-            else:
-                yield self.env.timeout(
-                    cmd.out_bytes / self.testbed.fpga_dma_rate)
-            if self.functional and cmd.result is not None \
-                    and self.host_pool is not None:
-                unit = self.host_pool.unit_by_phy(cmd.dest_phy)
-                unit.write(cmd.dest_offset, cmd.result)
-            if self.injector is not None:
-                stall = self.injector.finish_stall_s(self.site)
-                if stall > 0.0:
-                    yield self.env.timeout(stall)
-            self.decoded.add()
-            record = FinishRecord(
-                cmd_id=cmd.cmd_id, batch_tag=cmd.batch_tag,
-                dest_phy=cmd.dest_phy, dest_offset=cmd.dest_offset,
-                out_bytes=cmd.out_bytes, finished_at=self.env.now)
-            yield from self.finish_queue.put(record)
+        self.reader.start()
+        self.dma.start()
 
     # -- analysis ------------------------------------------------------------
     def stage_utilizations(self) -> dict[str, float]:

@@ -11,10 +11,10 @@ DMA path to host hugepages.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from ..calib import Testbed
-from ..sim import BusyTracker, Environment, Resource
+from ..sim import BusyTracker, Environment, Resource, drive
 
 __all__ = ["FpgaDevice", "FpgaResourceError"]
 
@@ -75,6 +75,13 @@ class FpgaDevice:
         finally:
             self.dma_busy.end(tok)
             self._dma.release(grant)
+
+    def dma_write_then(self, nbytes: int, done: Callable[[Any], None]
+                       ) -> None:
+        """Callback form of :meth:`dma_write`, for actors that are not
+        processes: ``done(None)`` runs inside the event that completes
+        the write.  A bad size raises here, at once."""
+        drive(self.dma_write(nbytes), done)
 
     def dma_utilization(self) -> float:
         return self.dma_busy.cores("dma")

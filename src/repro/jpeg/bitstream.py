@@ -20,8 +20,9 @@ from __future__ import annotations
 __all__ = ["BitWriter", "BitReader", "EndOfScan"]
 
 # value & _MASK[n] == low n bits; sized for the deepest accumulator the
-# reader can hold (31 buffered bits + a 32-bit bulk refill).
-_MASK = tuple((1 << n) - 1 for n in range(64))
+# reader can hold: huffman.decode_block refills inline from 54 buffered
+# bits with a 64-bit gulp, then may hand the reader to read().
+_MASK = tuple((1 << n) - 1 for n in range(128))
 
 
 class EndOfScan(Exception):

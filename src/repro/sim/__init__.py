@@ -8,21 +8,22 @@ streams.
 """
 
 from .core import (AllOf, AnyOf, CalendarQueue, Environment, Event, Interrupt,
-                   Process, SimulationError, Timeout, total_events_processed)
+                   Process, SimulationError, Timeout, drive,
+                   total_events_processed)
 from .monitor import (BusyTracker, Counter, IntervalRate, LatencyRecorder,
                       TimeWeighted, scoped_name, set_active_registry)
-from .queues import Channel, QueuePair, ShedPolicy, deadline_of
+from .queues import Channel, DirectGet, QueuePair, ShedPolicy, deadline_of
 from .rand import SeedBank
 from .resources import (Container, FilterStore, PriorityResource, Resource,
                         Store)
 from .trace import Span, Tracer
 
 __all__ = [
-    "Environment", "Event", "Timeout", "Process", "Interrupt",
+    "Environment", "Event", "Timeout", "Process", "Interrupt", "drive",
     "total_events_processed",
     "AllOf", "AnyOf", "CalendarQueue", "SimulationError",
     "Resource", "PriorityResource", "Store", "FilterStore", "Container",
-    "Channel", "QueuePair", "ShedPolicy", "deadline_of",
+    "Channel", "DirectGet", "QueuePair", "ShedPolicy", "deadline_of",
     "Counter", "TimeWeighted", "BusyTracker", "LatencyRecorder",
     "IntervalRate", "set_active_registry", "scoped_name",
     "SeedBank",

@@ -20,11 +20,38 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
-from .core import Environment
+from .core import Environment, Event
 from .monitor import Counter, LatencyRecorder, TimeWeighted
 from .resources import Store
 
-__all__ = ["Channel", "QueuePair", "ShedPolicy", "deadline_of"]
+__all__ = ["Channel", "DirectGet", "QueuePair", "ShedPolicy", "deadline_of"]
+
+# Returned by Channel._took for an item an armed policy discarded.
+_SHED = object()
+
+
+class DirectGet:
+    """An idle callback-driven consumer parked on a :class:`Channel`.
+
+    The store hands it an item synchronously, inside the put that
+    supplied it (no grant event); it counts the get exactly as
+    :meth:`Channel.get` would, then calls ``fn(item)``.
+    """
+
+    __slots__ = ("channel", "fn")
+    filter = None     # the Store getter protocol: never a filtered get
+
+    def __init__(self, channel: "Channel", fn: Callable[[Any], None]):
+        self.channel = channel
+        self.fn = fn
+
+    def succeed(self, stamped: tuple[float, Any]) -> None:
+        item = self.channel._took(stamped)
+        if item is _SHED:
+            ok, item = self.channel.take(self)
+            if not ok:
+                return
+        self.fn(item)
 
 
 def deadline_of(item: Any) -> float:
@@ -103,6 +130,27 @@ class Channel:
     def __len__(self) -> int:
         return len(self._store)
 
+    # Bookkeeping shared by every put and get flavour.  A put counts
+    # once its item is admitted; a get, once it holds the item.
+    def _admitted(self, _event: Any = None) -> None:
+        self.put_count += 1
+        self.occupancy.set(len(self._store.items))
+
+    def _took(self, stamped: tuple[float, Any]) -> Any:
+        """Account one dequeued ``(enq_t, item)``: returns the item, or
+        ``_SHED`` when an armed policy discarded it as expired."""
+        enq_t, item = stamped
+        now = self.env._now
+        if self.shed is not None and self.shed.drop_expired_at_dequeue \
+                and self.shed.expired(item, now):
+            self.occupancy.set(len(self._store.items))
+            self._shed_item(item, "dequeue")
+            return _SHED
+        self.get_count += 1
+        self.wait.record(now - enq_t)
+        self.occupancy.set(len(self._store.items))
+        return item
+
     def put(self, item: Any) -> Generator:
         """Generator: blocks while the channel is full.
 
@@ -111,10 +159,8 @@ class Channel:
         """
         if self.shed is not None and self._rejects_at_admit(item):
             return
-        store = self._store
-        yield store.put((self.env._now, item))
-        self.put_count += 1
-        self.occupancy.set(len(store.items))
+        yield self._store.put((self.env._now, item))
+        self._admitted()
 
     def get(self) -> Generator:
         """Generator: blocks while the channel is empty; returns the item.
@@ -125,16 +171,39 @@ class Channel:
         """
         store = self._store
         while True:
-            enq_t, item = yield store.get()
-            if self.shed is not None and self.shed.drop_expired_at_dequeue \
-                    and self.shed.expired(item, self.env._now):
-                self.occupancy.set(len(store.items))
-                self._shed_item(item, "dequeue")
-                continue
-            self.get_count += 1
-            self.wait.record(self.env._now - enq_t)
-            self.occupancy.set(len(store.items))
-            return item
+            item = self._took((yield store.get()))
+            if item is not _SHED:
+                return item
+
+    def offer(self, item: Any) -> Optional[Event]:
+        """Callback-form put: no event when the item is handled at once.
+
+        Returns None when the item was admitted (or shed on admit) now.
+        Otherwise the channel is full: returns the pending put, which
+        triggers once the item is admitted and counted.
+        """
+        if self.shed is not None and self._rejects_at_admit(item):
+            return None
+        pending = self._store.offer((self.env._now, item))
+        if pending is None:
+            self._admitted()
+        else:
+            pending.callbacks.append(self._admitted)
+        return pending
+
+    def take(self, waiter: "DirectGet") -> tuple[bool, Any]:
+        """Callback-form get: ``(True, item)`` when live work is queued
+        and no earlier getter waits; otherwise parks ``waiter``, whose
+        callback later receives the item, and returns ``(False, None)``.
+        """
+        store = self._store
+        while True:
+            ok, stamped = store.take(waiter)
+            if not ok:
+                return False, None
+            item = self._took(stamped)
+            if item is not _SHED:
+                return True, item
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put.  Returns True when the item was *handled* —
@@ -143,8 +212,7 @@ class Channel:
             return True
         ok = self._store.try_put((self.env.now, item))
         if ok:
-            self.put_count += 1
-            self.occupancy.set(len(self._store.items))
+            self._admitted()
         return ok
 
     def try_get(self) -> tuple[bool, Any]:
@@ -152,16 +220,9 @@ class Channel:
             ok, stamped = self._store.try_get()
             if not ok:
                 return False, None
-            enq_t, item = stamped
-            if self.shed is not None and self.shed.drop_expired_at_dequeue \
-                    and self.shed.expired(item, self.env.now):
-                self.occupancy.set(len(self._store.items))
-                self._shed_item(item, "dequeue")
-                continue
-            self.get_count += 1
-            self.wait.record(self.env.now - enq_t)
-            self.occupancy.set(len(self._store.items))
-            return True, item
+            item = self._took(stamped)
+            if item is not _SHED:
+                return True, item
 
     def drain(self) -> list[Any]:
         """Non-blocking: remove and return everything currently buffered."""

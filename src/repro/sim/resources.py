@@ -20,7 +20,7 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Optional
 
-from .core import Environment, Event, SimulationError
+from .core import PROCESSED, Environment, Event, SimulationError
 
 __all__ = ["Request", "Release", "Resource", "PriorityResource",
            "Preempted", "Store", "FilterStore", "Container"]
@@ -52,9 +52,18 @@ class Request(Event):
 
 
 class Release(Event):
-    """Immediate-fire event acknowledging a release (for symmetry)."""
+    """Acknowledges a release (for symmetry with :class:`Request`).
+
+    Born processed: no caller needs to wait on a release, so it takes
+    no queue entry.  A process that does ``yield`` one still resumes at
+    the same instant.
+    """
 
     __slots__ = ()
+
+    def __init__(self, env: Environment):
+        super().__init__(env)
+        self._state = PROCESSED
 
 
 class Resource:
@@ -89,9 +98,7 @@ class Resource:
                 f"release of a request not holding {self.name}")
         self._users.remove(request)
         self._grant_next()
-        evt = Release(self.env)
-        evt.succeed()
-        return evt
+        return Release(self.env)
 
     # -- internals -----------------------------------------------------
     def _enqueue(self, request: Request) -> None:
@@ -206,6 +213,12 @@ class Store:
 
     ``capacity`` bounds the number of buffered items; a full store blocks
     putters, an empty one blocks getters.  FIFO both ways.
+
+    Besides the event-based ``put``/``get``, callback-driven consumers
+    use :meth:`offer` and :meth:`take`, which cost no event when they
+    complete at once.  A getter parked by :meth:`take` is a *direct*
+    waiter: any object with ``filter = None`` whose ``succeed(item)``
+    takes the item synchronously, inside the put that supplied it.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf"),
@@ -218,6 +231,7 @@ class Store:
         self.items: deque[Any] = deque()
         self._put_waiters: deque[StorePut] = deque()
         self._get_waiters: deque[StoreGet] = deque()
+        self._draining = False
 
     # -- public API --------------------------------------------------
     def put(self, item: Any) -> StorePut:
@@ -225,6 +239,42 @@ class Store:
 
     def get(self) -> StoreGet:
         return StoreGet(self)
+
+    def offer(self, item: Any) -> Optional[StorePut]:
+        """Put without an event when possible.
+
+        Admits ``item`` and returns None when there is room and no
+        earlier putter to overtake; otherwise queues it behind them and
+        returns the pending :class:`StorePut`, which triggers on
+        admission.
+        """
+        items = self.items
+        if not self._put_waiters and len(items) < self.capacity:
+            items.append(item)
+            if self._get_waiters:
+                self._drain()
+            return None
+        return StorePut(self, item)
+
+    def take(self, waiter: Any) -> tuple[bool, Any]:
+        """Get without an event when possible.
+
+        Returns ``(True, item)`` when an item is buffered and no earlier
+        getter waits for it.  Otherwise parks ``waiter`` (a direct
+        waiter, see the class docstring) in the getter queue and returns
+        ``(False, None)``; the waiter receives its item later through
+        ``waiter.succeed(item)``.
+        """
+        items = self.items
+        if items and not self._get_waiters:
+            item = items.popleft()
+            if self._put_waiters:
+                self._drain()
+            return True, item
+        self._get_waiters.append(waiter)
+        if items:
+            self._drain()
+        return False, None
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; False when the store is full."""
@@ -265,38 +315,54 @@ class Store:
 
     def _drain(self) -> None:
         # Hot path: runs on every put/get.  Deques and capacity live in
-        # locals, and the common unfiltered get is matched inline;
-        # succeed() only schedules callbacks (no reentrancy), so the
-        # grant order is exactly the original admit-then-serve loop's.
+        # locals, and the common unfiltered get is matched inline.
+        #
+        # Reentrancy: a StorePut/StoreGet's succeed() only schedules
+        # callbacks, but a direct waiter's succeed() runs its consumer
+        # now, and that consumer may re-enter this store (take its next
+        # item, or put back into it) before returning.  Only the
+        # outermost call drains; a nested one returns at once.  That is
+        # safe because every nested call happens inside a succeed() of
+        # the outer pass, which then counts as progress and runs another
+        # round over the live deques.  The grant order stays the
+        # admit-then-serve loop's and nesting never goes deeper than
+        # one drain per store.
+        if self._draining:
+            return
+        self._draining = True
         items = self.items
         puts = self._put_waiters
         gets = self._get_waiters
         capacity = self.capacity
-        while True:
-            progressed = False
-            # Admit puts while there is room.
-            while puts and len(items) < capacity:
-                putter = puts.popleft()
-                items.append(putter.item)
-                putter.succeed()
-                progressed = True
-            # Serve getters in arrival order; a filtered getter that cannot
-            # match stays at the head (strict FIFO, no overtaking).
-            while gets:
-                getter = gets[0]
-                if getter.filter is None:
-                    if not items:
+        try:
+            while True:
+                progressed = False
+                # Admit puts while there is room.
+                while puts and len(items) < capacity:
+                    putter = puts.popleft()
+                    items.append(putter.item)
+                    putter.succeed()
+                    progressed = True
+                # Serve getters in arrival order; a filtered getter that
+                # cannot match stays at the head (strict FIFO, no
+                # overtaking).
+                while gets:
+                    getter = gets[0]
+                    if getter.filter is None:
+                        if not items:
+                            break
+                        gets.popleft()
+                        getter.succeed(items.popleft())
+                        progressed = True
+                    elif self._match_get(getter):
+                        gets.popleft()
+                        progressed = True
+                    else:
                         break
-                    gets.popleft()
-                    getter.succeed(items.popleft())
-                    progressed = True
-                elif self._match_get(getter):
-                    gets.popleft()
-                    progressed = True
-                else:
-                    break
-            if not progressed:
-                return
+                if not progressed:
+                    return
+        finally:
+            self._draining = False
 
 
 class FilterStore(Store):

@@ -14,8 +14,10 @@ An armed :class:`~repro.faults.FaultInjector` can fail a read with
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from ..calib import Testbed
-from ..sim import BusyTracker, Counter, Environment, Resource
+from ..sim import BusyTracker, Counter, Environment, Resource, drive
 
 __all__ = ["NvmeDisk", "NvmeReadError"]
 
@@ -68,6 +70,13 @@ class NvmeDisk:
             self.bytes_read.add(nbytes)
         finally:
             self._queue.release(slot)
+
+    def read_then(self, nbytes: int, done: Callable[[Any], None]) -> None:
+        """Callback form of :meth:`read`, for actors that are not
+        processes: ``done(None)`` runs inside the event that completes
+        the transfer.  Validation and injected read errors raise here,
+        at once."""
+        drive(self.read(nbytes), done)
 
     def utilization(self) -> float:
         """Fraction of wall time the transfer engine was busy."""

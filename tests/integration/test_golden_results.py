@@ -1,0 +1,47 @@
+"""Golden digests of three short simulated runs.
+
+Each digest is the SHA-256 of the run's canonical result document
+(``repro.sweep.canonical_json``).  Work on the event core or the stage
+models must leave every simulated result byte-identical, so these must
+not change; a change that alters simulated results on purpose updates
+them and says why.
+"""
+
+import dataclasses
+import hashlib
+
+from repro.experiments.fleet import serve_fleet
+from repro.sweep import canonical_json
+from repro.workflows import (InferenceConfig, TrainingConfig, run_inference,
+                             run_training)
+
+FIG7_CELL_DIGEST = (
+    "b7f89d231c479b50e16e5dd5ed09eebd21e1297033ece707cadb9530eee228b4")
+TRAINING_20K_DIGEST = (
+    "c4adf06b99979031bf5ed919afb80305071b1c9b2107119125282ca882d162f7")
+FLEET_K4_DIGEST = (
+    "46659b864be51814e8c81b61cd8a8d96f7412a717941a9ab2535a12d4ac7aad4")
+
+
+def digest(doc) -> str:
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
+def test_fig7_cell_golden_digest():
+    res = run_inference(InferenceConfig(
+        model="googlenet", backend="dlbooster", batch_size=32,
+        warmup_s=0.1, measure_s=0.3, seed=0))
+    assert digest(dataclasses.asdict(res)) == FIG7_CELL_DIGEST
+
+
+def test_training_golden_digest():
+    res = run_training(TrainingConfig(
+        model="alexnet", backend="dlbooster", dataset_size=20_000,
+        warmup_s=0.1, measure_s=0.3, seed=0))
+    assert digest(dataclasses.asdict(res)) == TRAINING_20K_DIGEST
+
+
+def test_fleet_k4_golden_digest():
+    payload = serve_fleet(policy="least-loaded", k=4, overload_x=2.7,
+                          sim_s=0.3, seed=23, degraded_host=2)
+    assert digest(payload) == FLEET_K4_DIGEST

@@ -36,6 +36,14 @@ def test_single_byte_corruption_never_hangs(pos, value):
     try_decode(bytes(data))
 
 
+def test_corrupt_dc_category_read_from_a_deep_accumulator():
+    # Byte 200 := 0x10 yields a DC category above 15 while decode_block
+    # holds more than 63 refilled bits; read() must still mask them.
+    data = bytearray(reference())
+    data[200] = 0x10
+    try_decode(bytes(data))
+
+
 @given(st.integers(0, 2000))
 @settings(max_examples=30, deadline=None)
 def test_truncation_never_hangs(cut):

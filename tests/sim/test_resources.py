@@ -1,5 +1,8 @@
 """Unit tests for Resource/Store/Container primitives."""
 
+import inspect
+import sys
+
 import pytest
 
 from repro.sim import (Container, Environment, FilterStore,
@@ -72,6 +75,43 @@ def test_resource_count_and_queue_len():
     env.run()
     assert res.count == 1
     assert res.queue_len == 0
+
+
+def test_release_schedules_no_event():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    req = res.request()
+    env.run()
+    before = env.events_processed
+    ack = res.release(req)
+    assert ack.processed and ack.ok and ack.value is None
+    env.run()
+    assert env.events_processed == before
+
+
+def test_yielded_release_resumes_at_once():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+
+    def holder(env):
+        req = res.request()
+        yield req
+        yield env.timeout(1.0)
+        value = yield res.release(req)
+        log.append(("holder", env.now, value))
+
+    def waiter(env):
+        yield env.timeout(0.5)
+        req = res.request()
+        yield req
+        log.append(("waiter", env.now, None))
+        res.release(req)
+
+    env.process(holder(env))
+    env.process(waiter(env))
+    env.run()
+    assert log == [("waiter", 1.0, None), ("holder", 1.0, None)]
 
 
 def test_request_cancel_removes_waiter():
@@ -173,6 +213,48 @@ def test_store_get_blocks_until_item():
     env.process(producer(env))
     env.run()
     assert got == [("x", 3.0)]
+
+
+def test_store_offer_and_take_cost_no_event():
+    env = Environment()
+    store = Store(env, capacity=1)
+    assert store.offer("a") is None
+    pending = store.offer("b")           # full: parks a StorePut
+    assert pending is not None and not pending.triggered
+    assert store.take(object()) == (True, "a")
+    assert pending.triggered             # admitted when "a" left
+    env.run()
+    assert env.events_processed == 1     # only the parked put's ack
+
+
+def test_reentrant_direct_waiter_is_served_without_recursion():
+    # A direct waiter's succeed() runs inside the put that fed it.  This
+    # one re-parks itself and puts its next item back into the same
+    # store, so each grant happens inside the previous one; _drain must
+    # turn that into iterations, not nested calls.
+    env = Environment()
+    store = Store(env)
+    seen = []
+
+    class Echo:
+        filter = None
+
+        def succeed(self, item):
+            seen.append(item)
+            if item < 300:
+                assert store.take(self) == (False, None)
+                assert store.offer(item + 1) is None
+
+    echo = Echo()
+    assert store.take(echo) == (False, None)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        store.offer(0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert seen == list(range(301))
+    assert len(store) == 0
 
 
 def test_store_try_put_try_get():
