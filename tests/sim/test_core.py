@@ -443,3 +443,32 @@ def test_interrupt_while_waiting_on_resource_withdraws_request():
     assert order == ["impatient-interrupted", ("patient-got-slot", 10.0)]
     assert res.count == 0
     assert res.queue_len == 0
+
+
+def test_drive_runs_generator_and_frees_it_without_gc():
+    """A driven generator runs on callbacks and, once done, is freed by
+    reference counting: no cycle keeps it for the cyclic collector."""
+    import gc
+    import weakref
+
+    from repro.sim import drive
+
+    env = Environment()
+    results = []
+
+    def work(env):
+        yield env.timeout(1.0)
+        yield env.timeout(0.5)
+        return env.now
+
+    gen = work(env)
+    alive = weakref.ref(gen)
+    gc.disable()
+    try:
+        drive(gen, results.append)
+        del gen
+        env.run()
+        assert results == [1.5]
+        assert alive() is None
+    finally:
+        gc.enable()
