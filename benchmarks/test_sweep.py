@@ -1,7 +1,7 @@
 """Sweep-runner benchmarks: warm-pool parallel speedup with
-byte-identical results, the redeemed calendar-queue event core, and the
-content-addressed decode cache.  Results land in BENCH_PR10.json
-(BENCH_PR8.json stays committed as the pre-fix historical record).
+byte-identical results, and the scan-batched iDCT against its reference
+decoder.  Results land in BENCH_PR10.json (BENCH_PR8.json stays
+committed as the pre-fix historical record).
 
 PR 8's methodology let a 0.92x "speedup" ship green: it timed a fresh
 cold pool (workers paid the runner-stack import inside the measured
@@ -10,13 +10,13 @@ container CPU affinity), and recorded the ratio without any committed
 floor.  This file fixes all three:
 
 * both legs are warmed before the stopwatch starts — the parent
-  pre-imports and pre-builds the corpus, the (reused) pool is primed
-  with one untimed point;
+  pre-imports the runner stack, the (reused) pool is primed with one
+  untimed point;
 * gating uses ``effective_cores()`` (affinity-aware), and the portable
   metric is ``sweep.parallel_efficiency`` = speedup / min(workers,
   cores, points) — 1.0 is perfect scaling on *this* machine, so the
   floor travels from the 1-core dev box to a 4-core CI runner;
-* the efficiency, calendar and cache ratios are asserted against
+* the efficiency ratio is asserted against
   ``benchmarks/perf_baseline.json`` at the end of this file, so a
   regression fails the suite instead of being silently recorded.
 """
@@ -64,8 +64,8 @@ def test_sweep_parallel_speedup_and_identity():
     assert len(points) >= 6
     cores = effective_cores()
 
-    # Warm both legs before any stopwatch: parent imports + corpus
-    # (serial leg), pool workers forked from the warm parent and primed
+    # Warm both legs before any stopwatch: parent imports (serial
+    # leg), pool workers forked from the warm parent and primed
     # with one untimed point (parallel leg).  This is the fix for the
     # PR 8 cold-pool methodology bug.
     warm_process()
@@ -117,107 +117,6 @@ def test_sweep_parallel_speedup_and_identity():
             f"got {speedup:.2f}x"
 
 
-def test_calendar_queue_event_rate():
-    """Dense-timer event core: heap vs calendar vs the honest "auto"
-    policy on the same workload.  When the per-box calibration says the
-    calendar wins, it must actually win (>= 1.0), and auto must land on
-    whichever representation the calibration picked.
-
-    Methodology notes: 8000 concurrent tickers keep the pending set
-    dense (heap pops pay ~log2(8000) sift levels, calendar pops are
-    bucket-local), and the three schedulers are timed *interleaved*,
-    best-of-7 each — back-to-back blocks let background load drift
-    favour whichever leg ran during a quiet spell, which is exactly how
-    PR 8 recorded a loss as a win."""
-    from repro.sim import Environment
-    from repro.sim.core import scheduler_calibration
-
-    SCHEDULERS = ("heap", "calendar", "auto")
-    N, UNTIL, REPS = 8000, 0.06, 7
-
-    def soup(scheduler, until=UNTIL, probe=None):
-        env = Environment(scheduler=scheduler)
-
-        def ticker(period):
-            while True:
-                yield env.timeout(period)
-
-        for i in range(N):
-            env.process(ticker(0.001 + 1e-6 * i))
-        t0 = time.perf_counter()
-        env.run(until=until)
-        elapsed = time.perf_counter() - t0
-        if probe is not None:
-            probe.append(env.scheduler_active)
-        return elapsed, env.events_processed
-
-    verdict = scheduler_calibration()
-    active = []
-    events = soup("heap", probe=active)[1]
-    assert events == soup("calendar", probe=active)[1]
-    assert events == soup("auto", probe=active)[1]  # identical counts
-    # Structural honesty: the pinned modes are what they claim, and
-    # "auto" lands wherever the per-box calibration pointed it.
-    assert active == ["heap", "calendar", verdict]
-
-    runs = {s: [] for s in SCHEDULERS}
-    for s in SCHEDULERS:                            # warmup
-        soup(s, until=UNTIL / 5)
-    for _ in range(REPS):                           # interleaved
-        for s in SCHEDULERS:
-            runs[s].append(soup(s)[0])
-
-    res = [BenchResult(name=f"sim.soup[{s}]", best_s=min(runs[s]),
-                       mean_s=sum(runs[s]) / REPS, runs=tuple(runs[s]),
-                       reps=1, units={"events": float(events)})
-           for s in SCHEDULERS]
-    ratio = min(runs["heap"]) / min(runs["calendar"])
-    auto_ratio = min(runs["heap"]) / min(runs["auto"])
-    _bench_out(res, {
-        "sim.calendar_vs_heap": ratio,
-        "sim.auto_vs_heap": auto_ratio,
-        "sim.auto_picks_calendar": float(verdict == "calendar")})
-    print(f"\ncalendar vs heap on {events:,} events: {ratio:.2f}x; "
-          f"auto vs heap: {auto_ratio:.2f}x (calibration: {verdict})")
-    if verdict == "calendar":
-        assert ratio >= 1.0, \
-            f"calibration chose the calendar but it lost: {ratio:.2f}x"
-    # Auto runs the exact same loop as whichever side it picked (proven
-    # structurally above); the timing assert is only a noise floor.
-    assert auto_ratio >= 0.70 * min(ratio, 1.0), \
-        f"auto pathologically slow: {auto_ratio:.2f}x vs heap"
-
-
-def test_decode_cache_speedup():
-    """Functional-decode cache: a content-addressed hit must be far
-    cheaper than a real decode, with bit-identical pixels."""
-    import numpy as np
-
-    from repro.jpeg import (cached_decode_resized, clear_decode_cache,
-                            decode_resized)
-    from repro.perf.workloads import codec_workload
-
-    data = codec_workload().data
-    expected = decode_resized(data, 224, 224)
-    clear_decode_cache()
-    assert np.array_equal(cached_decode_resized(data, 224, 224), expected)
-
-    cold = bench(lambda: decode_resized(data, 224, 224),
-                 name="codec.decode_resized[uncached]",
-                 warmup=1, k=3, min_time=0.2,
-                 units={"bytes": float(len(data))})
-    hot = bench(lambda: cached_decode_resized(data, 224, 224),
-                name="codec.decode_resized[cached]",
-                warmup=1, k=3, min_time=0.05,
-                units={"bytes": float(len(data))})
-    speedup = cold.best_s / hot.best_s
-    _bench_out([cold, hot], {"codec.decode_cache_speedup": speedup})
-    print(f"\ndecode cache hit speedup: {speedup:,.0f}x "
-          f"(miss {cold.best_s * 1e3:.1f}ms, hit {hot.best_s * 1e6:.1f}us)")
-    assert speedup >= 5.0, \
-        f"cache hit barely cheaper than a decode: {speedup:.2f}x"
-
-
 def test_scan_idct_vs_reference_decode():
     """Whole-decoder speed with the scan-batched iDCT vs the pre-PR8
     per-block reference path, bit-identical outputs required."""
@@ -267,7 +166,6 @@ def test_bench_artifacts_valid():
     assert doc["schema"] == "repro-perf/1"
     assert "sweep.parallel4_speedup" in doc["derived"]
     assert "sweep.parallel_efficiency" in doc["derived"]
-    assert "sim.calendar_vs_heap" in doc["derived"]
 
     with open(BENCH_PR8) as fh:       # history, never regenerated here
         old = json.load(fh)

@@ -115,23 +115,3 @@ def functional_jpeg_manifest(n: int, h: int, w: int,
                      height=h, width=w, channels=1 if gray else 3,
                      label=int(rng.integers(10)), payload=payload)
     return manifest
-
-
-# The standard functional corpus (perf-workload geometry: 240x320 q80).
-# Encoding real JPEG bytes is the expensive part of functional-mode
-# startup, so it is built once per process and shared; sweep worker
-# pools materialize it in the parent *before* forking, making it free
-# (copy-on-write) in every fork worker.
-_DEFAULT_CORPUS: Optional[FileManifest] = None
-
-
-def default_functional_corpus() -> FileManifest:
-    """The memoized standard functional JPEG corpus.
-
-    Deterministic (default SeedBank stream) and treated as immutable by
-    callers — decode it, never mutate its payloads.
-    """
-    global _DEFAULT_CORPUS
-    if _DEFAULT_CORPUS is None:
-        _DEFAULT_CORPUS = functional_jpeg_manifest(n=8, h=240, w=320)
-    return _DEFAULT_CORPUS

@@ -25,7 +25,6 @@ import numpy as np
 from ..calib import Testbed
 from ..jpeg import (JpegDecodeError, coefficients_to_planes, entropy_decode,
                     parse_jpeg, planes_to_image, resize_bilinear)
-from ..jpeg.cache import decode_cache
 from ..sim import Channel, Counter, Environment
 from ..storage.nvme import NvmeReadError
 from ..tracing.context import mark_cmd
@@ -282,28 +281,12 @@ class ImageDecoderMirror:
         if cmd.error is not None:
             return cmd
         if self.functional and cmd.payload is not None:
-            # Content-addressed cache: key is the payload *bytes* (plus
-            # output geometry), so poisoned/corrupted streams can never
-            # alias a clean entry.  A hit carries the finished pixels
-            # (or the recorded decode error) straight to the DMA stage;
-            # the idct/resize transforms see no intermediates and pass
-            # through.  Timing is unaffected either way — transforms run
-            # in zero simulated time; only real wall-clock is saved.
-            hit = decode_cache.lookup(cmd.payload,
-                                      ("mirror", cmd.out_h, cmd.out_w))
-            if hit is not None:
-                result, error = hit[0]
-                cmd.result, cmd.error = result, error
-                return cmd
             try:
                 cmd._parsed = parse_jpeg(cmd.payload)
                 cmd._coeffs = entropy_decode(cmd._parsed)
             except JpegDecodeError as exc:
                 cmd.error = f"{type(exc).__name__}: {exc}"
                 cmd._parsed = cmd._coeffs = None
-                decode_cache.insert(cmd.payload,
-                                    ("mirror", cmd.out_h, cmd.out_w),
-                                    (None, cmd.error))
         elif cmd.poisoned:
             # Modeled mode: no real bytes to choke on, so the poison flag
             # stands in for the parse failure the hardware would hit.
@@ -319,15 +302,9 @@ class ImageDecoderMirror:
 
     def _resize_fn(self, cmd: DecodeCmd) -> DecodeCmd:
         if cmd.error is None and self.functional and cmd._image is not None:
-            result = resize_bilinear(cmd._image, cmd.out_h, cmd.out_w)
-            result.setflags(write=False)    # cache entries are shared
-            cmd.result = result
+            cmd.result = resize_bilinear(cmd._image, cmd.out_h, cmd.out_w)
             cmd._image = None
             cmd._parsed = None
-            if cmd.payload is not None:
-                decode_cache.insert(cmd.payload,
-                                    ("mirror", cmd.out_h, cmd.out_w),
-                                    (result, None))
         return cmd
 
     # -- device binding ----------------------------------------------------

@@ -7,8 +7,6 @@ model and the FPGA decoder model.
 """
 
 from .bitstream import BitReader, BitWriter, EndOfScan
-from .cache import (cached_decode, cached_decode_resized,
-                    clear_decode_cache, decode_cache, decode_cache_stats)
 from .color import rgb_to_ycbcr, subsample_420, upsample_420, ycbcr_to_rgb
 from .dct import fdct2, idct2, idct2_dequant
 from .decoder import (coefficients_to_planes, decode, decode_resized,
@@ -28,8 +26,6 @@ from .resize import center_crop, resize_bilinear, resize_nearest
 
 __all__ = [
     "encode", "decode", "decode_resized", "parse_jpeg", "entropy_decode",
-    "cached_decode", "cached_decode_resized", "decode_cache",
-    "decode_cache_stats", "clear_decode_cache",
     "coefficients_to_planes", "planes_to_image",
     "BitReader", "BitWriter", "EndOfScan",
     "HuffmanTable", "build_table_from_freqs",

@@ -11,7 +11,10 @@ ratios transfer across machines while absolute MB/s numbers do not.
 Both implementations are bit-exact by contract (the optimized paths
 consume identical bits, produce identical pixels/metrics and raise
 identical errors), so benchmarks also assert output equality across the
-mode switch.
+mode switch.  Every patch swaps one implementation for another and none
+sets a flag, so an A/B run differs from a normal run only in which code
+executes; ``tests/perf/test_harness.py`` and the perf-smoke benchmarks
+use the reference side as their equivalence oracle.
 
 The patch set covers three layers:
 
@@ -38,7 +41,6 @@ from typing import Any, Optional
 import numpy as np
 
 from ..jpeg import bitstream as _bitstream
-from ..jpeg import cache as _jpeg_cache
 from ..jpeg import decoder as _decoder
 from ..jpeg import dct as _dct
 from ..jpeg import huffman as _huffman
@@ -452,7 +454,6 @@ def _decode_bitwise(self, reader: BitReader) -> int:
 # class methods patch once and apply everywhere.
 _PATCHES: list[tuple[Any, str, Any]] = [
     # codec
-    (_jpeg_cache, "_BYPASS", True),     # no memoized decodes in A/B runs
     (_bitstream.BitReader, "_pull_byte", _pull_byte_ref),
     (HuffmanTable, "decode", _decode_bitwise),
     (_huffman, "decode_block", decode_block_ref),
@@ -465,9 +466,7 @@ _PATCHES: list[tuple[Any, str, Any]] = [
     (_resize, "resize_bilinear", resize_bilinear_ref),
     (_decoder, "resize_bilinear", resize_bilinear_ref),
     (_decoder, "planes_to_image", planes_to_image_ref),
-    # sim kernel — _FORCE_HEAP pins new Environments to the pre-pass
-    # binary-heap scheduler so calendar migration can't occur mid-A/B.
-    (_core, "_FORCE_HEAP", True),
+    # sim kernel
     (_core.Event, "succeed", _succeed_ref),
     (_core.Event, "_run_callbacks", _run_callbacks_ref),
     (_core.Timeout, "__init__", _timeout_init_ref),

@@ -7,9 +7,8 @@ the measurement instruments; :mod:`~repro.sim.rand` deterministic RNG
 streams.
 """
 
-from .core import (AllOf, AnyOf, CalendarQueue, Environment, Event, Interrupt,
-                   Process, SimulationError, Timeout, drive,
-                   total_events_processed)
+from .core import (AllOf, AnyOf, Environment, Event, Interrupt, Process,
+                   SimulationError, Timeout, drive, total_events_processed)
 from .monitor import (BusyTracker, Counter, IntervalRate, LatencyRecorder,
                       TimeWeighted, scoped_name, set_active_registry)
 from .queues import Channel, DirectGet, QueuePair, ShedPolicy, deadline_of
@@ -21,7 +20,7 @@ from .trace import Span, Tracer
 __all__ = [
     "Environment", "Event", "Timeout", "Process", "Interrupt", "drive",
     "total_events_processed",
-    "AllOf", "AnyOf", "CalendarQueue", "SimulationError",
+    "AllOf", "AnyOf", "SimulationError",
     "Resource", "PriorityResource", "Store", "FilterStore", "Container",
     "Channel", "DirectGet", "QueuePair", "ShedPolicy", "deadline_of",
     "Counter", "TimeWeighted", "BusyTracker", "LatencyRecorder",

@@ -25,7 +25,6 @@ __all__ = [
     "Interrupt",
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "SimulationError",
     "drive",
     "total_events_processed",
@@ -66,310 +65,6 @@ def _add_total(processed: int) -> None:
 def total_events_processed() -> int:
     """Events processed by all Environments since interpreter start."""
     return _total_events
-
-
-# -- scheduler selection ---------------------------------------------------
-# An Environment starts on a binary heap and may migrate to a
-# CalendarQueue when, at a run()/step() boundary, the pending set is
-# dense enough that bucketing beats log-n sifts.  Migration never
-# happens mid-loop: the push fast paths branch on ``env._cal`` per call,
-# so a queue representation is stable for the whole of one run() loop.
-SCHEDULERS = ("auto", "heap", "calendar")
-
-#: Pending events at a run()/step() boundary before "auto" migrates.
-_CAL_THRESHOLD = 512
-
-#: Target mean occupancy per calendar bucket when sizing the width.
-#: Larger buckets amortize one ``list.sort()`` (C Timsort) over many
-#: O(1) tail pops, which measures faster than per-item heap sifts.
-_CAL_PER_BUCKET = 128
-
-#: An active bucket this many times over target marks the widths stale
-#: (event density shifted since migration) and triggers a lazy rebuild
-#: at the next run()/step() boundary.
-_CAL_REBUILD_FACTOR = 32
-
-#: Late pushes accumulated since the last (re)build before the queue
-#: re-derives its bucket width from the *current* pending density,
-#: mid-run.  This rescues the common degenerate migration: the pending
-#: set at migration time is all at one instant (process Initialize
-#: events), the span-based width collapses to one bucket, and every
-#: subsequent push would be an O(bucket) insort forever.
-_CAL_REBUCKET_LATE = 512
-
-#: Rebuckets allowed per queue before we conclude the workload is
-#: genuinely hostile to bucketing (always pushes at now) and leave the
-#: rest to the boundary demotion guard.
-_CAL_MAX_REBUILDS = 16
-
-#: "auto" demotes back to the heap when more than this fraction of
-#: pushes land in the already-draining bucket — each such push is an
-#: O(bucket) insort, the calendar's only pathological case.  The
-#: denominator is events processed since migration (≈ pushes in steady
-#: state) so the hot push path doesn't have to maintain a counter.
-_CAL_LATE_FRACTION = 0.25
-
-#: Events processed since migration before the late-fraction demotion
-#: guard may fire (small counts are all noise).
-_CAL_GUARD_MIN_EVENTS = 4096
-
-#: reference_mode() sets this True so A/B runs replay on the exact
-#: pre-pass heap scheduler.  Only consulted at migration points.
-_FORCE_HEAP = False
-
-# Process-level calibration verdict for the "auto" policy: "calendar"
-# or "heap", measured once by scheduler_calibration().  None = not yet
-# measured.
-_AUTO_VERDICT: Optional[str] = None
-
-
-class CalendarQueue:
-    """Bucketed event queue (a one-tier calendar / ladder queue).
-
-    Items are ``(time, eid, event)`` triples.  Buckets of ``width``
-    seconds are keyed by ``int(time * inv_width)``; the *active* bucket
-    (everything at or before the bucket currently being drained) is kept
-    **sorted descending**, so the next event is always ``active[-1]``
-    and a pop is an O(1) ``list.pop()`` — no sift at all.  Future
-    buckets stay as unsorted lists that are sorted (one C Timsort call)
-    only when the clock reaches them.  For dense pending sets this
-    replaces two O(log n) heap sifts per event with an append, a tail
-    pop and 1/``per_bucket``-th of a sort.
-
-    Pops come out in exactly ``(time, eid)`` order — the same total
-    order as the binary heap — so swapping representations can never
-    change a simulation's event order.
-
-    The queue also keeps cheap structural counters (``_late``,
-    ``_needs_rebuild``, ``_rebuilds``) that the Environment reads at
-    run()/step() boundaries to drive density-adaptive rebuilds and the
-    "auto" policy's demote-to-heap guard.
-    """
-
-    __slots__ = ("width", "_inv", "_cur", "_active", "_future",
-                 "_bucket_ids", "per_bucket", "_late",
-                 "_needs_rebuild", "_rebuilds")
-
-    def __init__(self, width: float, per_bucket: int = _CAL_PER_BUCKET):
-        if not (width > 0 and math.isfinite(width)):
-            raise ValueError(f"bucket width must be finite and > 0, "
-                             f"got {width!r}")
-        self.width = width
-        self._inv = 1.0 / width
-        self.per_bucket = per_bucket
-        self._cur = -(1 << 62)  # bucket id currently draining
-        self._active: list[tuple[float, int, Event]] = []   # sorted desc
-        self._future: dict[int, list[tuple[float, int, Event]]] = {}
-        self._bucket_ids: list[int] = []  # heap of future bucket ids
-        self._late = 0      # pushes that landed in the draining bucket
-        self._needs_rebuild = False
-        self._rebuilds = 0
-
-    def __len__(self) -> int:
-        # Computed, not maintained: keeping a counter would cost two
-        # attribute ops on every push AND pop of the hot loops, and
-        # emptiness (the only hot question) falls out of
-        # ``_active``/``_bucket_ids`` for free.
-        n = len(self._active)
-        for bucket in self._future.values():
-            n += len(bucket)
-        return n
-
-    def push(self, item: tuple[float, int, Event]) -> None:
-        # NOTE: the body of this fast path is replicated inline at the
-        # three hot scheduling sites (Timeout.__init__, Event.succeed,
-        # Environment._push) — a method call per push would cost more
-        # than the heap's single C heappush.  Keep them in sync.
-        try:
-            b = int(item[0] * self._inv)
-        except (OverflowError, ValueError):  # inf/nan timestamps
-            b = 1 << 62
-        if b > self._cur:
-            try:
-                self._future[b].append(item)
-            except KeyError:
-                self._future[b] = [item]
-                heapq.heappush(self._bucket_ids, b)
-        else:
-            self._push_late(item)
-
-    def _push_late(self, item: tuple[float, int, Event]) -> None:
-        """Slow path: push into the bucket being drained (a zero-delay
-        event scheduled by a callback) — binary-insert into the
-        descending active list so pops stay in total order."""
-        self._late += 1
-        active = self._active
-        lo, hi = 0, len(active)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if active[mid] > item:
-                lo = mid + 1
-            else:
-                hi = mid
-        active.insert(lo, item)
-        if (self._late >= _CAL_REBUCKET_LATE
-                and len(active) > self.per_bucket
-                and self._rebuilds < _CAL_MAX_REBUILDS):
-            # The widths are wrong for the live density (classic case:
-            # migration snapshot was all same-instant events, span 0,
-            # one giant bucket).  Re-derive them now.
-            self._rebucket()
-
-    def _advance(self) -> None:
-        b = heapq.heappop(self._bucket_ids)
-        items = self._future.pop(b)
-        self._cur = b
-        items.sort(reverse=True)
-        self._active = items
-        if len(items) > _CAL_REBUILD_FACTOR * self.per_bucket:
-            # Density shifted since the widths were chosen; ask for a
-            # recompaction at the next safe boundary.
-            self._needs_rebuild = True
-
-    def pop(self) -> tuple[float, int, Event]:
-        """Remove and return the earliest item; caller checks len()."""
-        if not self._active:
-            self._advance()
-        return self._active.pop()
-
-    def min_time(self) -> float:
-        """Timestamp of the earliest item, or ``inf`` when empty."""
-        if not self._active:
-            if not self._bucket_ids:
-                return float("inf")
-            self._advance()
-        return self._active[-1][0]
-
-    # -- structural health (read by Environment at boundaries) ----------
-    def drain_items(self) -> list[tuple[float, int, Event]]:
-        """Remove and return every pending item (order unspecified) —
-        the demotion/rebuild path back to a flat list."""
-        items = list(self._active)
-        for bucket in self._future.values():
-            items.extend(bucket)
-        self._active = []
-        self._future = {}
-        self._bucket_ids = []
-        return items
-
-    def _rebucket(self) -> None:
-        """Re-derive the bucket width from the current pending density
-        and redistribute every item — O(n), amortized by the late
-        pushes it eliminates.  Pop order is unaffected (the items and
-        their total order don't change, only the bucketing)."""
-        items = self.drain_items()
-        lo = math.inf
-        hi = -math.inf
-        for it in items:
-            t = it[0]
-            if t < lo:
-                lo = t
-            if t > hi:
-                hi = t
-        span = hi - lo
-        if span > 0 and math.isfinite(span):
-            width = max(span * self.per_bucket / len(items), 1e-12)
-            self.width = width
-            self._inv = 1.0 / width
-        # else: keep the old width; the counter reset below still stops
-        # rebucket attempts from looping on every late push.
-        self._cur = -(1 << 62)   # everything lands in future buckets
-        for it in items:
-            self.push(it)
-        self._late = 0
-        self._needs_rebuild = False
-        self._rebuilds += 1
-
-    @classmethod
-    def from_items(cls, items: list[tuple[float, int, Event]],
-                   per_bucket: int = _CAL_PER_BUCKET) -> "CalendarQueue":
-        """Build a queue sized from the density of ``items``.
-
-        Width is chosen so a bucket holds ~``per_bucket`` of the current
-        pending items on average — the event-density heuristic.  A
-        degenerate span (all items at one instant) degrades gracefully
-        to a single bucket, i.e. plain sorted-list behaviour.
-        """
-        lo = math.inf
-        hi = -math.inf
-        for it in items:
-            t = it[0]
-            if t < lo:
-                lo = t
-            if t > hi:
-                hi = t
-        span = hi - lo
-        if not (span > 0 and math.isfinite(span)):
-            width = 1.0
-        else:
-            width = max(span * per_bucket / len(items), 1e-12)
-        q = cls(width, per_bucket=per_bucket)
-        for it in items:
-            q.push(it)
-        q._late = 0     # construction pushes are not runtime signal
-        return q
-
-
-def _calibration_trial(n: int = 1024, rounds: int = 4096) -> tuple[float,
-                                                                   float]:
-    """One timed head-to-head of the two queue representations.
-
-    Both run the same synthetic hold pattern (pop the minimum, push a
-    replacement a fixed horizon ahead — the canonical event-loop access
-    pattern) over the same items; returns (heap_s, calendar_s).
-    """
-    import time as _time
-    items = [((i * 0.6180339887498949) % 1.0, i, None) for i in range(n)]
-    horizon = 0.33
-
-    heap = sorted(items)
-    t0 = _time.perf_counter()
-    eid = n
-    for _ in range(rounds):
-        when, _, _obj = heapq.heappop(heap)
-        heapq.heappush(heap, (when + horizon, eid, None))
-        eid += 1
-    heap_s = _time.perf_counter() - t0
-
-    cal = CalendarQueue.from_items(list(items))
-    push, pop = cal.push, cal.pop
-    t0 = _time.perf_counter()
-    eid = n
-    for _ in range(rounds):
-        when, _, _obj = pop()
-        push((when + horizon, eid, None))
-        eid += 1
-    cal_s = _time.perf_counter() - t0
-    return heap_s, cal_s
-
-
-def scheduler_calibration(force: Optional[str] = None, trials: int = 3
-                          ) -> str:
-    """The "auto" policy's measured verdict: "calendar" or "heap".
-
-    Runs a short (few-ms, once per process) head-to-head of the two
-    queue representations on this interpreter and caches the winner.
-    "auto" only migrates off the heap when the calendar *measurably*
-    wins here — an honest adaptive policy instead of a hopeful one.
-    Pass ``force`` to pin the verdict (tests), or ``force=""`` to clear
-    the cache and re-measure.
-    """
-    global _AUTO_VERDICT
-    if force is not None:
-        _AUTO_VERDICT = force or None
-        if _AUTO_VERDICT is not None and _AUTO_VERDICT not in ("heap",
-                                                               "calendar"):
-            raise ValueError(f"force must be 'heap' or 'calendar', "
-                             f"got {force!r}")
-    if _AUTO_VERDICT is None:
-        heap_best = math.inf
-        cal_best = math.inf
-        for _ in range(trials):
-            heap_s, cal_s = _calibration_trial()
-            heap_best = min(heap_best, heap_s)
-            cal_best = min(cal_best, cal_s)
-        _AUTO_VERDICT = "calendar" if cal_best <= heap_best else "heap"
-    return _AUTO_VERDICT
 
 
 class Event:
@@ -420,28 +115,8 @@ class Event:
         self._state = TRIGGERED
         # Inline env._push: succeed() fires once per queue grant /
         # process completion, the second-hottest scheduling site.
-        # The calendar branch replicates CalendarQueue.push's fast path
-        # (see the NOTE there) — a method call per push costs more than
-        # the whole bucket computation.
         env = self.env
-        cal = env._cal
-        when = env._now
-        item = (when, next(env._eid), self)
-        if cal is None:
-            heapq.heappush(env._queue, item)
-        else:
-            try:
-                b = int(when * cal._inv)
-            except (OverflowError, ValueError):
-                b = 1 << 62
-            if b > cal._cur:
-                try:
-                    cal._future[b].append(item)
-                except KeyError:
-                    cal._future[b] = [item]
-                    heapq.heappush(cal._bucket_ids, b)
-            else:
-                cal._push_late(item)
+        heapq.heappush(env._queue, (env._now, next(env._eid), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -474,8 +149,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        # ``not >=`` also rejects NaN, which would break the heap order.
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         # Direct slot initialization (no Event.__init__ call): a Timeout
         # is born triggered, and this constructor runs once per modeled
         # stage latency — the hottest allocation site in the kernel.
@@ -485,26 +161,7 @@ class Timeout(Event):
         self._ok = True
         self._state = TRIGGERED
         self.delay = delay
-        cal = env._cal
-        when = env._now + delay
-        item = (when, next(env._eid), self)
-        if cal is None:
-            heapq.heappush(env._queue, item)
-        else:
-            # Replicates CalendarQueue.push's fast path (see the NOTE
-            # there): this is the hottest scheduling site in the kernel.
-            try:
-                b = int(when * cal._inv)
-            except (OverflowError, ValueError):
-                b = 1 << 62
-            if b > cal._cur:
-                try:
-                    cal._future[b].append(item)
-                except KeyError:
-                    cal._future[b] = [item]
-                    heapq.heappush(cal._bucket_ids, b)
-            else:
-                cal._push_late(item)
+        heapq.heappush(env._queue, (env._now + delay, next(env._eid), self))
 
 
 class Initialize(Event):
@@ -773,6 +430,10 @@ class AnyOf(Condition):
 class Environment:
     """The simulation clock plus the event queue.
 
+    Pending events live in one binary heap of ``(time, eid, event)``
+    triples; the insertion counter ``eid`` breaks time ties in FIFO
+    order, so a given schedule always pops in the same order.
+
     Parameters
     ----------
     initial_time:
@@ -781,44 +442,19 @@ class Environment:
         When True (the default), an exception escaping a process propagates
         out of :meth:`run` immediately instead of failing the process
         event — the right behaviour for tests.
-    scheduler:
-        ``"auto"`` (default) starts on a binary heap and migrates to a
-        :class:`CalendarQueue` at a run()/step() boundary once the
-        pending set reaches ``_CAL_THRESHOLD`` events *and* the
-        once-per-process :func:`scheduler_calibration` microbenchmark
-        says the calendar wins on this interpreter; after migration it
-        demotes back to the heap (permanently, per env) if the
-        calendar's late-push fraction shows the workload is hostile to
-        bucketing.  ``"heap"`` pins the binary heap; ``"calendar"``
-        migrates at the first non-empty boundary and never demotes.
-        Both schedulers pop in identical ``(time, eid)`` order, so the
-        choice never changes simulated results.
     """
 
-    __slots__ = ("_now", "_queue", "_cal", "_scheduler", "_eid",
-                 "_active_process", "strict", "events_processed",
-                 "_cal_banned", "_cal_mark")
+    __slots__ = ("_now", "_queue", "_eid", "_active_process", "strict",
+                 "events_processed")
 
-    def __init__(self, initial_time: float = 0.0, strict: bool = True,
-                 scheduler: str = "auto"):
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"scheduler must be one of {SCHEDULERS}, "
-                             f"got {scheduler!r}")
+    def __init__(self, initial_time: float = 0.0, strict: bool = True):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
-        self._cal: Optional[CalendarQueue] = None
-        self._scheduler = scheduler
         self._eid = itertools.count()
         self._active_process: Optional[Process] = None
         self.strict = strict
         #: Total events whose callbacks have run (step() / run() loops).
         self.events_processed = 0
-        # "auto" demoted this env back to the heap once: stay there —
-        # flapping between representations would churn for nothing.
-        self._cal_banned = False
-        # events_processed at calendar migration; the demotion guard's
-        # denominator (events since ≈ pushes since, in steady state).
-        self._cal_mark = 0
 
     # -- clock -----------------------------------------------------------
     @property
@@ -848,82 +484,19 @@ class Environment:
 
     # -- scheduling ------------------------------------------------------
     def _push(self, event: Event, delay: float = 0.0) -> None:
-        cal = self._cal
-        item = (self._now + delay, next(self._eid), event)
-        if cal is None:
-            heapq.heappush(self._queue, item)
-        else:
-            cal.push(item)
-
-    def _maybe_switch(self) -> None:
-        """Pick the queue representation at a run()/step() boundary.
-
-        Heap -> calendar when the pending set is dense enough AND — for
-        "auto" — the per-process calibration says the calendar actually
-        wins on this interpreter.  An already-migrated "auto" env is
-        health-checked: if the calendar reports pathological behaviour
-        (late-push fraction past :data:`_CAL_LATE_FRACTION`), it demotes
-        back to the heap and stays there.  Stale bucket widths trigger a
-        density-adaptive rebuild instead.  Representation changes happen
-        only here, never mid-loop, and both sides pop in identical
-        ``(time, eid)`` order, so none of this can change simulated
-        results.  ``reference_mode()`` pins ``_FORCE_HEAP`` so A/B
-        replays stay on the pre-pass heap.
-        """
-        cal = self._cal
-        if cal is not None:
-            done = self.events_processed - self._cal_mark
-            if (self._scheduler == "auto"
-                    and done >= _CAL_GUARD_MIN_EVENTS
-                    and cal._late > done * _CAL_LATE_FRACTION):
-                # Post-migration pop/push cost regressed: demote.
-                self._queue = cal.drain_items()
-                heapq.heapify(self._queue)
-                self._cal = None
-                self._cal_banned = True
-            elif cal._needs_rebuild and (cal._active or cal._bucket_ids):
-                self._cal = CalendarQueue.from_items(cal.drain_items(),
-                                                     per_bucket=cal.per_bucket)
-                self._cal_mark = self.events_processed
-            return
-        if _FORCE_HEAP or self._cal_banned:
-            return
-        mode = self._scheduler
-        if mode == "heap":
-            return
-        n = len(self._queue)
-        if not n:
-            return
-        if mode == "calendar" or (n >= _CAL_THRESHOLD
-                                  and scheduler_calibration() == "calendar"):
-            self._cal = CalendarQueue.from_items(self._queue)
-            self._queue = []
-            self._cal_mark = self.events_processed
-
-    @property
-    def scheduler_active(self) -> str:
-        """Queue representation currently in use: "heap" or "calendar"."""
-        return "heap" if self._cal is None else "calendar"
+        heapq.heappush(self._queue,
+                       (self._now + delay, next(self._eid), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._cal is not None:
-            return self._cal.min_time()
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process one event; advances :attr:`now` to its timestamp."""
         global _total_events
-        self._maybe_switch()
-        cal = self._cal
-        if cal is None:
-            if not self._queue:
-                raise SimulationError("step() on an empty event queue")
-            when, _, event = heapq.heappop(self._queue)
-        else:
-            if not (cal._active or cal._bucket_ids):
-                raise SimulationError("step() on an empty event queue")
-            when, _, event = cal.pop()
+        if not self._queue:
+            raise SimulationError("step() on an empty event queue")
+        when, _, event = heapq.heappop(self._queue)
         self._now = when
         self.events_processed += 1
         _total_events += 1
@@ -940,9 +513,6 @@ class Environment:
         hoisted into locals — the dispatch loop itself is a measurable
         slice of large modeled runs.
         """
-        self._maybe_switch()
-        if self._cal is not None:
-            return self._run_calendar(until)
         queue = self._queue
         pop = heapq.heappop
         if isinstance(until, Event):
@@ -967,6 +537,8 @@ class Environment:
 
         if until is not None:
             horizon = float(until)
+            if math.isnan(horizon):
+                raise ValueError("until=nan is not a time")
             if horizon < self._now:
                 raise ValueError(
                     f"until={horizon} is in the past (now={self._now})")
@@ -987,85 +559,6 @@ class Environment:
         try:
             while queue:
                 when, _, event = pop(queue)
-                self._now = when
-                processed += 1
-                event._run_callbacks()
-        finally:
-            self.events_processed += processed
-            _add_total(processed)
-        return None
-
-    def _run_calendar(self, until: Optional[float | Event]) -> Any:
-        """The run() loops against a migrated :class:`CalendarQueue`.
-
-        Mirrors the heap loops exactly — same stop conditions, same
-        accounting — with pops inlined against the calendar's sorted
-        active bucket (next event is always ``active[-1]``), which
-        yields the identical ``(time, eid)`` order.
-        """
-        cal = self._cal
-        assert cal is not None
-        if isinstance(until, Event):
-            stop_evt = until
-            processed = 0
-            try:
-                while not stop_evt._state:          # PENDING
-                    active = cal._active
-                    if not active:
-                        if not cal._bucket_ids:
-                            raise SimulationError(
-                                "simulation ran dry before the awaited "
-                                "event fired")
-                        cal._advance()
-                        active = cal._active
-                    when, _, event = active.pop()
-                    self._now = when
-                    processed += 1
-                    event._run_callbacks()
-            finally:
-                self.events_processed += processed
-                _add_total(processed)
-            if not stop_evt._ok:
-                raise stop_evt._value
-            return stop_evt._value
-
-        if until is not None:
-            horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(
-                    f"until={horizon} is in the past (now={self._now})")
-            processed = 0
-            try:
-                while True:
-                    active = cal._active
-                    if not active:
-                        if not cal._bucket_ids:
-                            break
-                        cal._advance()
-                        active = cal._active
-                    when = active[-1][0]
-                    if when > horizon:
-                        break
-                    _, _, event = active.pop()
-                    self._now = when
-                    processed += 1
-                    event._run_callbacks()
-            finally:
-                self.events_processed += processed
-                _add_total(processed)
-            self._now = max(self._now, horizon)
-            return None
-
-        processed = 0
-        try:
-            while True:
-                active = cal._active
-                if not active:
-                    if not cal._bucket_ids:
-                        break
-                    cal._advance()
-                    active = cal._active
-                when, _, event = active.pop()
                 self._now = when
                 processed += 1
                 event._run_callbacks()

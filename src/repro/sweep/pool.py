@@ -10,15 +10,11 @@ search — paid that tax per probe.
 :class:`WorkerPool` keeps the workers warm instead:
 
 * **fork platforms**: the parent warms *itself* first (imports the
-  runner registry and its heavy dependencies, materializes the default
-  functional JPEG corpus) and then forks, so workers inherit everything
-  copy-on-write — zero per-worker warmup;
-* **spawn platforms**: a pool initializer performs the same warmup once
-  per worker process, at pool construction instead of first-task time;
-* either way the parent's once-per-process scheduler calibration
-  verdict (see :func:`repro.sim.core.scheduler_calibration`) is pinned
-  into every worker, so workers neither re-measure nor diverge from the
-  parent's choice;
+  runner registry and its heavy dependencies) and then forks, so
+  workers inherit everything copy-on-write — zero per-worker warmup;
+* **spawn platforms**: :func:`warm_process` is the pool initializer, so
+  each worker imports the same stack once, at pool construction
+  instead of first-task time;
 * tasks are dispatched in chunks sized to the task/worker ratio rather
   than one IPC round-trip per point;
 * :func:`shared_pool` keeps one pool per (processes, start_method)
@@ -53,10 +49,9 @@ def resolve_start_method(start_method: Optional[str] = None) -> str:
 
 
 def warm_process() -> None:
-    """Pre-import the point-runner stack and materialize the shared
-    functional JPEG corpus in *this* process.  Idempotent; in the pool
-    parent it runs before forking so the warm state is copy-on-write
-    free in every fork worker."""
+    """Pre-import the point-runner stack in *this* process.
+    Idempotent; in the pool parent it runs before forking so every fork
+    worker inherits the imports copy-on-write."""
     global _WARMED
     if _WARMED:
         return
@@ -65,19 +60,7 @@ def warm_process() -> None:
     from .. import telemetry            # noqa: F401
     from ..workflows import inference   # noqa: F401
     from ..experiments import fleet     # noqa: F401
-    from ..data.datasets import default_functional_corpus
-    default_functional_corpus()
     _WARMED = True
-
-
-def _worker_init(verdict: Optional[str], preload: bool) -> None:
-    """Pool initializer: pin the parent's scheduler verdict and (for
-    spawn workers, which inherit nothing) perform the warmup."""
-    from ..sim.core import scheduler_calibration
-    if verdict is not None:
-        scheduler_calibration(force=verdict)
-    if preload:
-        warm_process()
 
 
 class WorkerPool:
@@ -90,32 +73,23 @@ class WorkerPool:
     start_method:
         ``"fork"``/``"spawn"``/``"forkserver"``; default picks fork
         when available.
-    warm:
-        Pre-import the runner stack and pre-build the functional corpus
-        (parent-side before fork; initializer-side on spawn).  Disable
-        only in tests that measure cold behaviour.
     """
 
     def __init__(self, processes: int,
-                 start_method: Optional[str] = None,
-                 warm: bool = True):
+                 start_method: Optional[str] = None):
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         self.processes = processes
         self.start_method = resolve_start_method(start_method)
         self._closed = False
-        verdict = None
-        if warm:
-            from ..sim.core import scheduler_calibration
-            verdict = scheduler_calibration()
-            if self.start_method == "fork":
-                # Warm the parent, fork the warmth (copy-on-write).
-                warm_process()
+        initializer = None
+        if self.start_method == "fork":
+            # Warm the parent, fork the warmth (copy-on-write).
+            warm_process()
+        else:
+            initializer = warm_process
         ctx = multiprocessing.get_context(self.start_method)
-        preload = warm and self.start_method != "fork"
-        self._pool = ctx.Pool(processes=processes,
-                              initializer=_worker_init,
-                              initargs=(verdict, preload))
+        self._pool = ctx.Pool(processes=processes, initializer=initializer)
 
     @property
     def closed(self) -> bool:

@@ -10,11 +10,13 @@ deterministic seeds; nothing is shared), and returns:
 * the picklable :class:`~repro.sim.monitor.LatencyRecorder` reservoirs
   harvested from that registry.
 
-The parent collects worker results **by point index**, not completion
-order, then folds the recorders through ``LatencyRecorder.merge()`` —
-which is itself commutative — into one rollup.  Both layers of defence
-make the merged ``repro-sweep/1`` document byte-identical to a serial
-run of the same points, regardless of how the OS schedules workers.
+A worker returns that result dict as-is; it crosses the process
+boundary by plain pickling.  The parent collects worker results **by
+point index**, not completion order, then folds the recorders through
+``LatencyRecorder.merge()`` — which is itself commutative — into one
+rollup, exactly as a serial run does.  Both layers of defence make the
+merged ``repro-sweep/1`` document byte-identical to a serial run of the
+same points, regardless of how the OS schedules workers.
 
 Wall-clock numbers (which legitimately differ run to run) are kept in a
 separate ``repro-perf/1`` payload, never in the identity document.
@@ -73,34 +75,23 @@ def _execute(task: tuple[int, SweepPoint]) -> tuple[int, dict, float, int]:
     return index, result, wall, events
 
 
-def _execute_packed(task: tuple[int, SweepPoint]
-                    ) -> tuple[int, dict, float, int]:
-    """Worker-side entry: run the point, then flatten reservoirs and
-    metrics into packed buffers so the pickle crossing the process
-    boundary is a handful of byte strings, not an object graph."""
-    from .transport import encode_result
-    index, result, wall, events = _execute(task)
-    return index, encode_result(result), wall, events
-
-
 def _point_slug(index: int, point: SweepPoint) -> str:
     text = point.label or point.runner
     safe = "".join(c if c.isalnum() or c in "-._" else "-" for c in text)
     return f"point-{index:03d}-{safe}"
 
 
-def _execute_profiled(task: tuple[int, SweepPoint], profile_dir: str,
-                      packed: bool) -> tuple[int, dict, float, int]:
+def _execute_profiled(task: tuple[int, SweepPoint], profile_dir: str
+                      ) -> tuple[int, dict, float, int]:
     """Run one point under cProfile, dumping stats into
     ``profile_dir/<point-slug>.pstats`` (one file per point, written by
     whichever worker ran it)."""
     import cProfile
     import os
-    fn = _execute_packed if packed else _execute
     prof = cProfile.Profile()
     prof.enable()
     try:
-        out = fn(task)
+        out = _execute(task)
     finally:
         prof.disable()
         index, point = task
@@ -135,33 +126,20 @@ class SweepOutcome:
 
     def merged_recorders(self) -> dict[str, LatencyRecorder]:
         """Fold every point's harvested reservoirs, by metric name, in
-        point-index order (== serial order).
-
-        Serial results carry live :class:`LatencyRecorder` objects and
-        fold through the pairwise ``merge()``; parallel results arrive
-        as :class:`~repro.sweep.transport.PackedRecorder` buffers and
-        fold through the vectorized :func:`merge_packed` — the two are
-        byte-identical by construction (and cross-checked by every
-        ``--check-identity`` run).
-        """
-        from .transport import PackedRecorder, merge_packed, pack_recorder
-        by_name: dict[str, list] = {}
+        point-index order (== serial order), through the pairwise
+        ``LatencyRecorder.merge()``.  Parallel results carry the same
+        recorders, unpickled, so both paths fold identical state."""
+        merged: dict[str, LatencyRecorder] = {}
         for result in self.results:
             for name, rec in sorted(
                     (result.get("recorders") or {}).items()):
-                by_name.setdefault(name, []).append(rec)
-        merged: dict[str, LatencyRecorder] = {}
-        for name, recs in by_name.items():
-            if any(isinstance(r, PackedRecorder) for r in recs):
-                packs = [r if isinstance(r, PackedRecorder)
-                         else pack_recorder(r) for r in recs]
-                merged[name] = merge_packed(f"sweep.{name}", packs)
-            else:
-                target = LatencyRecorder(name=f"sweep.{name}",
-                                         max_samples=recs[0]._max_samples)
-                for rec in recs:
-                    target.merge(rec)
-                merged[name] = target
+                target = merged.get(name)
+                if target is None:
+                    target = LatencyRecorder(
+                        name=f"sweep.{name}",
+                        max_samples=rec._max_samples)
+                    merged[name] = target
+                target.merge(rec)
         return merged
 
     def rollup(self) -> dict[str, Any]:
@@ -284,7 +262,7 @@ def run_sweep(points: list[SweepPoint], parallel: int = 1,
         for task in tasks:
             if profile_dir is not None:
                 index, result, wall, ev = _execute_profiled(
-                    task, profile_dir, packed=False)
+                    task, profile_dir)
             else:
                 index, result, wall, ev = _execute(task)
             results[index] = result
@@ -292,12 +270,11 @@ def run_sweep(points: list[SweepPoint], parallel: int = 1,
             events[index] = ev
     else:
         from .pool import WorkerPool, shared_pool
-        from .transport import decode_result
         if profile_dir is not None:
             func: Any = functools.partial(
-                _execute_profiled, profile_dir=profile_dir, packed=True)
+                _execute_profiled, profile_dir=profile_dir)
         else:
-            func = _execute_packed
+            func = _execute
         if pool is not None:
             own = None
         elif reuse_pool:
@@ -308,7 +285,7 @@ def run_sweep(points: list[SweepPoint], parallel: int = 1,
                                     start_method=start_method)
         try:
             for index, result, wall, ev in pool.run(func, tasks):
-                results[index] = decode_result(result)
+                results[index] = result
                 walls[index] = wall
                 events[index] = ev
                 # The worker's simulated events happened in another

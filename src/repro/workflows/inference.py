@@ -21,7 +21,7 @@ from ..sim.trace import Tracer
 from ..supervision import SupervisionConfig
 from ..telemetry import MetricsRegistry, QueueDepthSampler, TelemetryConfig
 from ..tracing import RequestTracker, TracingConfig
-from .metrics import CounterWindow, CpuWindow, HealthWindow
+from .metrics import CounterWindow, CpuWindow, HealthWindow, check_windows
 
 __all__ = ["InferenceConfig", "InferenceResult", "run_inference",
            "INFERENCE_BACKENDS"]
@@ -88,6 +88,7 @@ def run_inference(cfg: InferenceConfig,
     :class:`~repro.telemetry.QueueDepthSampler` records the hot queues;
     both land in ``result.extras["telemetry"]``.
     """
+    check_windows(cfg.warmup_s, cfg.measure_s)
     if cfg.telemetry is None:
         return _run_inference(cfg, testbed, None)
     registry = MetricsRegistry(name=f"inference.{cfg.backend}")

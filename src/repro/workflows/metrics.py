@@ -7,13 +7,27 @@ pollutes steady-state numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..engines import CpuCorePool
 from ..sim import Counter, Environment
 
 __all__ = ["CpuWindow", "CounterWindow", "ResilienceWindow",
-           "HealthWindow"]
+           "HealthWindow", "check_windows"]
+
+
+def check_windows(warmup_s: float, measure_s: float) -> None:
+    """Reject a warm-up/measure window pair a run cannot honour: both
+    must be finite, the warm-up ``>= 0`` and the measure window
+    ``> 0``."""
+    if not (math.isfinite(warmup_s) and math.isfinite(measure_s)):
+        raise ValueError(f"warmup_s and measure_s must be finite, got "
+                         f"{warmup_s!r} and {measure_s!r}")
+    if warmup_s < 0:
+        raise ValueError(f"warmup_s must be >= 0, got {warmup_s!r}")
+    if measure_s <= 0:
+        raise ValueError(f"measure_s must be positive, got {measure_s!r}")
 
 
 @dataclass

@@ -25,7 +25,8 @@ from ..sim.trace import Tracer
 from ..supervision import SupervisionConfig, Supervisor
 from ..telemetry import MetricsRegistry, QueueDepthSampler, TelemetryConfig
 from ..tracing import RequestTracker, TracingConfig
-from .metrics import CounterWindow, CpuWindow, HealthWindow, ResilienceWindow
+from .metrics import (CounterWindow, CpuWindow, HealthWindow,
+                      ResilienceWindow, check_windows)
 
 __all__ = ["TrainingConfig", "TrainingResult", "run_training",
            "ideal_training_throughput", "TRAINING_BACKENDS"]
@@ -151,10 +152,7 @@ def run_training(cfg: TrainingConfig,
     """
     if cfg.dataset_size is not None and cfg.dataset_size < 1:
         raise ValueError("dataset_size must be >= 1")
-    if cfg.warmup_s < 0:
-        raise ValueError("warmup_s must be >= 0")
-    if cfg.measure_s <= 0:
-        raise ValueError("measure_s must be positive")
+    check_windows(cfg.warmup_s, cfg.measure_s)
     if cfg.telemetry is None:
         return _run_training(cfg, testbed, tracer_factory, None)
     registry = MetricsRegistry(name=f"training.{cfg.backend}")

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.jpeg
 from repro.calib import DEFAULT_TESTBED
 from repro.data import synthetic_photo
+from repro.faults import FaultInjector, FaultPlan
 from repro.fpga import (DecodeCmd, FpgaDevice, FPGAChannel,
                         ImageDecoderMirror, fpga_init)
-from repro.jpeg import decode_resized, encode
+from repro.jpeg import JpegDecodeError, decode_resized, encode
 from repro.memory import MemManager
-from repro.sim import Environment
+from repro.sim import Environment, SeedBank
 
 
 def make_stack(functional=False, pool=None, **mirror_kwargs):
@@ -187,6 +189,83 @@ def test_functional_mode_writes_real_pixels():
     got = unit.read(0, 32 * 32 * 3).reshape(32, 32, 3)
     expected = decode_resized(payload, 32, 32)
     np.testing.assert_array_equal(got, expected)
+
+
+def _injected(payload, spec, seed=0):
+    """``payload`` as the FaultInjector's ``spec`` fault rewrites it."""
+    cmd = std_cmd(payload=payload)
+    injector = FaultInjector(Environment(), FaultPlan.of(spec),
+                             seeds=SeedBank(seed))
+    assert injector.maybe_poison_cmd(cmd)
+    assert cmd.payload != payload
+    return cmd.payload
+
+
+def _functional_decode(payloads, out_hw=(32, 32)):
+    """Push every payload through one functional FPGAChannel; return
+    ``(FinishRecord, pixels or None)`` per payload, in submit order."""
+    env = Environment()
+    h, w = out_hw
+    pool = MemManager(env, unit_size=h * w * 3, unit_count=len(payloads),
+                      name="fnpool")
+    device = FpgaDevice(env, DEFAULT_TESTBED)
+    mirror = ImageDecoderMirror(env, DEFAULT_TESTBED, functional=True,
+                                host_pool=pool)
+    device.load_mirror(mirror)
+    channel = FPGAChannel(env, mirror)
+    units = [pool.try_get_item() for _ in payloads]
+    records = []
+
+    def submit(env):
+        for i, (payload, unit) in enumerate(zip(payloads, units)):
+            yield from channel.submit_cmd(DecodeCmd(
+                cmd_id=i, source="dram", size_bytes=len(payload),
+                work_pixels=48 * 64 * 3 // 2, out_h=h, out_w=w,
+                channels=3, dest_phy=unit.phy_addr, dest_offset=0,
+                payload=payload))
+        while len(records) < len(payloads):
+            records.append((yield from channel.wait_one()))
+
+    env.run(until=env.process(submit(env)))
+    records.sort(key=lambda rec: rec.cmd_id)
+    return [(rec, units[rec.cmd_id].read(0, h * w * 3).reshape(h, w, 3)
+             if rec.status == "ok" else None) for rec in records]
+
+
+def test_functional_mirror_decodes_clean_truncated_and_corrupted():
+    img = synthetic_photo(np.random.default_rng(0), 48, 64)
+    clean = encode(img, quality=80)
+    truncated = _injected(clean, FaultPlan.payload_truncate(1.0))
+    corrupted = _injected(clean, FaultPlan.payload_corrupt(1.0))
+    payloads = [clean, truncated, clean[:96], corrupted]
+    # Two passes of the same bytes through one mirror.
+    outcomes = _functional_decode(payloads + payloads)
+    first, second = outcomes[:len(payloads)], outcomes[len(payloads):]
+    for payload, (rec, pixels) in zip(payloads, first):
+        try:
+            expected = decode_resized(payload, 32, 32)
+        except JpegDecodeError as exc:
+            # Unparseable bytes: an error FINISH naming the typed error
+            # the host decoder raises for the same bytes.
+            assert rec.status == "error" and rec.out_bytes == 0
+            assert pixels is None
+            kind = rec.error.split(":")[0]
+            assert issubclass(getattr(repro.jpeg, kind), JpegDecodeError)
+            assert kind == type(exc).__name__
+        else:
+            assert rec.status == "ok" and rec.error is None
+            np.testing.assert_array_equal(pixels, expected)
+    statuses = [rec.status for rec, _ in first]
+    assert statuses == ["ok", "error", "error", "ok"]
+    # Corruption inside the scan still decodes, to its own pixels.
+    assert not np.array_equal(first[3][1], first[0][1])
+
+    for (rec1, px1), (rec2, px2) in zip(first, second):
+        assert (rec2.status, rec2.error) == (rec1.status, rec1.error)
+        if px1 is None:
+            assert px2 is None
+        else:
+            np.testing.assert_array_equal(px2, px1)
 
 
 def test_throughput_bound_scales_with_ways():

@@ -27,6 +27,21 @@ def test_timeout_negative_delay_rejected():
         env.timeout(-1.0)
 
 
+def test_timeout_nan_delay_rejected():
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.timeout(float("nan"))
+    assert env.peek() == float("inf")       # nothing was scheduled
+
+
+def test_run_until_nan_rejected():
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(ValueError):
+        env.run(until=float("nan"))
+    assert env.now == 0.0 and env.peek() == 1.0
+
+
 def test_timeout_carries_value():
     env = Environment()
     seen = []

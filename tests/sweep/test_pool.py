@@ -4,11 +4,12 @@ The identity contract from tests/sweep/test_runner.py is re-asserted
 here against every pool shape: fresh pool, reused shared pool (twice,
 to catch state leaking between calls), an explicitly provided pool,
 and both start methods.  Plus the pool mechanics themselves: warmup
-idempotence, calibration-verdict pinning, chunking, lifecycle.
+idempotence, chunking, lifecycle.
 """
 
 import pytest
 
+import repro.sweep.pool as pool_mod
 from repro.sweep import (WorkerPool, fig7_points, run_sweep, shared_pool,
                          shutdown_shared_pools, warm_process)
 from repro.sweep.pool import effective_cores, resolve_start_method
@@ -60,12 +61,20 @@ class TestPoolIdentity:
         assert out.rollup_json() == serial_rollup
 
 
-def _whoami(_task):
-    """Pool task: report this worker's pinned calibration verdict."""
-    import os
+def _echo(task):
+    return task
 
-    from repro.sim.core import scheduler_calibration
-    return os.getpid(), scheduler_calibration()
+
+class _RecordingPool:
+    """Stands in for the multiprocessing pool: records what
+    ``WorkerPool.run`` hands to ``imap_unordered``."""
+
+    def __init__(self):
+        self.calls = []
+
+    def imap_unordered(self, func, tasks, chunksize):
+        self.calls.append((len(tasks), chunksize))
+        return map(func, tasks)
 
 
 class TestPoolMechanics:
@@ -78,20 +87,18 @@ class TestPoolMechanics:
         pool.close()
         pool.close()        # idempotent
         with pytest.raises(RuntimeError):
-            pool.run(_whoami, [1])
-
-    def test_workers_pin_parent_calibration_verdict(self):
-        from repro.sim.core import scheduler_calibration
-        parent = scheduler_calibration()
-        with WorkerPool(2) as pool:
-            replies = list(pool.run(_whoami, list(range(8))))
-        assert all(verdict == parent for _, verdict in replies)
+            pool.run(_echo, [1])
 
     def test_chunksize_targets_four_chunks_per_worker(self):
         pool = WorkerPool.__new__(WorkerPool)   # no real processes
         pool.processes = 2
-        assert max(1, 3 // (2 * 4)) == 1        # short sweeps: chunk 1
-        assert max(1, 100 // (2 * 4)) == 12     # long sweeps batch IPC
+        pool._closed = False
+        pool._pool = recorder = _RecordingPool()
+        assert list(pool.run(_echo, range(3))) == [0, 1, 2]
+        assert list(pool.run(_echo, range(100))) == list(range(100))
+        # Short sweeps load-balance one task per chunk; long sweeps
+        # batch their IPC into ~4 chunks per worker.
+        assert recorder.calls == [(3, 1), (100, 12)]
 
     def test_resolve_start_method(self):
         assert resolve_start_method("spawn") == "spawn"
@@ -100,13 +107,13 @@ class TestPoolMechanics:
     def test_effective_cores_positive(self):
         assert effective_cores() >= 1
 
-    def test_warm_process_idempotent_and_corpus_memoized(self):
-        from repro.data.datasets import default_functional_corpus
+    def test_warm_process_idempotent(self):
+        from repro.sweep.points import POINT_RUNNERS
         warm_process()
-        corpus = default_functional_corpus()
+        assert pool_mod._WARMED and POINT_RUNNERS
+        runners = dict(POINT_RUNNERS)
         warm_process()
-        assert default_functional_corpus() is corpus
-        assert len(corpus) == 8
+        assert POINT_RUNNERS == runners
 
     def test_shared_pool_reopened_after_shutdown(self):
         try:

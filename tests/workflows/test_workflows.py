@@ -115,6 +115,23 @@ def test_run_inference_validation():
         run_inference(InferenceConfig(model="vgg16", backend="lmdb"))
 
 
+@pytest.mark.parametrize("run, config", [
+    (run_inference, lambda **kw: InferenceConfig(
+        model="googlenet", backend="dlbooster", **kw)),
+    (run_training, lambda **kw: TrainingConfig(
+        model="alexnet", backend="dlbooster", **kw))],
+    ids=["inference", "training"])
+@pytest.mark.parametrize("field, value", [
+    ("measure_s", 0.0), ("measure_s", -0.2), ("measure_s", float("inf")),
+    ("measure_s", float("nan")), ("warmup_s", -0.1),
+    ("warmup_s", float("inf")), ("warmup_s", float("nan"))])
+def test_workflows_reject_bad_windows(run, config, field, value):
+    """Both drivers refuse a window they cannot honour before building
+    anything, with a message that names the field."""
+    with pytest.raises(ValueError, match=field):
+        run(config(**{field: value}))
+
+
 def test_run_inference_smoke_result_fields():
     res = run_inference(InferenceConfig(
         model="vgg16", backend="dlbooster", batch_size=8,
