@@ -1,29 +1,25 @@
 """Shared-resource primitives built on the event kernel.
 
-Three families:
+Two families:
 
-* :class:`Resource` — a counted semaphore with FIFO (or priority) queueing;
-  models CPU-core pools, DMA engines, PCIe lanes, database reader slots.
+* :class:`Resource` — a counted semaphore with FIFO queueing; models
+  CPU-core pools, DMA engines, PCIe lanes, database reader slots.
 * :class:`Store` — a buffer of discrete items with put/get blocking; the
   basis of every queue in the system (FIFO cmd queues, batch queues,
   Trans Queues).
-* :class:`Container` — a continuous level (bytes in a buffer, joules).
 
-All waiters are served in strict FIFO order within the same priority so
-simulations are deterministic.
+All waiters are served in strict FIFO order so simulations are
+deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
 from typing import Any, Callable, Optional
 
 from .core import PROCESSED, Environment, Event, SimulationError
 
-__all__ = ["Request", "Release", "Resource", "PriorityResource",
-           "Preempted", "Store", "FilterStore", "Container"]
+__all__ = ["Request", "Release", "Resource", "Store"]
 
 
 class Request(Event):
@@ -37,12 +33,11 @@ class Request(Event):
         resource.release(req)
     """
 
-    __slots__ = ("resource", "priority", "enqueued_at")
+    __slots__ = ("resource", "enqueued_at")
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
         self.enqueued_at = resource.env.now
         resource._enqueue(self)
 
@@ -89,8 +84,8 @@ class Resource:
     def queue_len(self) -> int:
         return len(self._waiters)
 
-    def request(self, priority: int = 0) -> Request:
-        return Request(self, priority)
+    def request(self) -> Request:
+        return Request(self)
 
     def release(self, request: Request) -> Release:
         if request not in self._users:
@@ -116,43 +111,6 @@ class Resource:
             nxt = self._waiters.popleft()
             self._users.append(nxt)
             nxt.succeed(nxt)
-
-
-class Preempted(Exception):
-    """Cause object delivered when a priority resource preempts a holder."""
-
-    def __init__(self, by: Request, usage_since: float):
-        super().__init__(f"preempted at priority {by.priority}")
-        self.by = by
-        self.usage_since = usage_since
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are served lowest-priority-value-first."""
-
-    def __init__(self, env: Environment, capacity: int = 1,
-                 name: str = "priority-resource"):
-        super().__init__(env, capacity, name)
-        self._pq: list[tuple[int, int, Request]] = []
-        self._seq = itertools.count()
-
-    def _enqueue(self, request: Request) -> None:
-        heapq.heappush(self._pq, (request.priority, next(self._seq), request))
-        self._grant_next()
-
-    def _cancel(self, request: Request) -> None:
-        self._pq = [(p, s, r) for (p, s, r) in self._pq if r is not request]
-        heapq.heapify(self._pq)
-
-    def _grant_next(self) -> None:
-        while self._pq and len(self._users) < self.capacity:
-            _, _, nxt = heapq.heappop(self._pq)
-            self._users.append(nxt)
-            nxt.succeed(nxt)
-
-    @property
-    def queue_len(self) -> int:
-        return len(self._pq)
 
 
 class StorePut(Event):
@@ -363,102 +321,3 @@ class Store:
                     return
         finally:
             self._draining = False
-
-
-class FilterStore(Store):
-    """Store whose getters may select items by predicate.
-
-    Unlike the base store, a blocked filtered getter does not stall the
-    getters queued behind it.
-    """
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        return StoreGet(self, filter)
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._put_waiters and len(self.items) < self.capacity:
-                putter = self._put_waiters.popleft()
-                self.items.append(putter.item)
-                putter.succeed()
-                progressed = True
-            still_waiting: deque[StoreGet] = deque()
-            while self._get_waiters:
-                getter = self._get_waiters.popleft()
-                if self._match_get(getter):
-                    progressed = True
-                else:
-                    still_waiting.append(getter)
-            self._get_waiters = still_waiting
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"amount must be > 0, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_waiters.append(self)
-        container._drain()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"amount must be > 0, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_waiters.append(self)
-        container._drain()
-
-
-class Container:
-    """A continuous quantity with blocking put/get (e.g. bytes of buffer)."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 init: float = 0.0, name: str = "container"):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self.name = name
-        self._level = float(init)
-        self._put_waiters: deque[ContainerPut] = deque()
-        self._get_waiters: deque[ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_waiters:
-                putter = self._put_waiters[0]
-                if self._level + putter.amount <= self.capacity:
-                    self._put_waiters.popleft()
-                    self._level += putter.amount
-                    putter.succeed()
-                    progressed = True
-            if self._get_waiters:
-                getter = self._get_waiters[0]
-                if self._level >= getter.amount:
-                    self._get_waiters.popleft()
-                    self._level -= getter.amount
-                    getter.succeed()
-                    progressed = True

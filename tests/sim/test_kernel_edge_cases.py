@@ -1,10 +1,7 @@
-"""Additional kernel edge cases: condition failure paths, priority
-ties, container ordering, channel instrumentation under churn."""
+"""Additional kernel edge cases: condition failure paths and channel
+instrumentation under churn."""
 
-import pytest
-
-from repro.sim import (AllOf, AnyOf, Channel, Container, Environment,
-                       PriorityResource, SimulationError)
+from repro.sim import Channel, Environment
 
 
 def test_all_of_fails_fast_on_failed_member():
@@ -62,67 +59,6 @@ def test_nested_conditions():
     env.process(p(env))
     env.run(until=20.0)
     assert got == [2.0]
-
-
-def test_priority_resource_equal_priorities_fifo():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        req = res.request()
-        yield req
-        yield env.timeout(1.0)
-        res.release(req)
-
-    def user(env, name):
-        req = res.request(priority=5)
-        yield req
-        order.append(name)
-        res.release(req)
-
-    env.process(holder(env))
-    for name in ["first", "second", "third"]:
-        env.process(user(env, name))
-    env.run()
-    assert order == ["first", "second", "third"]
-
-
-def test_priority_resource_cancel_from_heap():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    r1 = res.request(priority=0)
-    r2 = res.request(priority=1)
-    r3 = res.request(priority=2)
-    env.run()
-    r2.cancel()
-    assert res.queue_len == 1
-    res.release(r1)
-    env.run()
-    assert r3.triggered and not r2.triggered
-
-
-def test_container_put_get_interleaving_progress():
-    """A blocked put unblocks the moment a get makes room, and vice
-    versa, within the same drain pass."""
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    log = []
-
-    def producer(env):
-        yield tank.put(5)
-        log.append(("put", env.now))
-
-    def consumer(env):
-        yield env.timeout(1.0)
-        yield tank.get(5)
-        log.append(("got", env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert log == [("got", 1.0), ("put", 1.0)]
-    assert tank.level == 10
 
 
 def test_channel_occupancy_under_churn():

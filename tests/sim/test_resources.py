@@ -1,12 +1,11 @@
-"""Unit tests for Resource/Store/Container primitives."""
+"""Unit tests for the Resource and Store primitives."""
 
 import inspect
 import sys
 
 import pytest
 
-from repro.sim import (Container, Environment, FilterStore,
-                       PriorityResource, Resource, SimulationError, Store)
+from repro.sim import Environment, Resource, SimulationError, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -126,31 +125,6 @@ def test_request_cancel_removes_waiter():
     env.run()
     assert r3.triggered
     assert not r2.triggered
-
-
-def test_priority_resource_serves_lowest_priority_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        req = res.request()
-        yield req
-        yield env.timeout(5.0)
-        res.release(req)
-
-    def user(env, name, prio, arrive):
-        yield env.timeout(arrive)
-        req = res.request(priority=prio)
-        yield req
-        order.append(name)
-        res.release(req)
-
-    env.process(holder(env))
-    env.process(user(env, "low-urgency", 10, 1.0))
-    env.process(user(env, "high-urgency", 0, 2.0))
-    env.run()
-    assert order == ["high-urgency", "low-urgency"]
 
 
 # ---------------------------------------------------------------- Store
@@ -279,110 +253,3 @@ def test_store_len_tracks_buffer():
     store.try_put(1)
     store.try_put(2)
     assert len(store) == 2 and store.level == 2
-
-
-def test_filter_store_selects_by_predicate():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    env.process(consumer(env))
-    store.try_put(1)
-    store.try_put(3)
-    store.try_put(4)
-    env.run()
-    assert got == [4]
-    assert list(store.items) == [1, 3]
-
-
-def test_filter_store_blocked_getter_does_not_stall_others():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def blocked(env):
-        item = yield store.get(lambda x: x == "never")
-        got.append(("blocked", item))
-
-    def eager(env):
-        item = yield store.get(lambda x: x == "yes")
-        got.append(("eager", item))
-
-    env.process(blocked(env))
-    env.process(eager(env))
-    store.try_put("yes")
-    env.run(until=1.0)
-    assert got == [("eager", "yes")]
-
-
-# ---------------------------------------------------------------- Container
-def test_container_levels():
-    env = Environment()
-    tank = Container(env, capacity=100, init=50)
-    assert tank.level == 50
-
-    def p(env):
-        yield tank.get(30)
-        assert tank.level == 20
-        yield tank.put(80)
-        assert tank.level == 100
-
-    env.process(p(env))
-    env.run()
-    assert tank.level == 100
-
-
-def test_container_get_blocks_until_enough():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    got = []
-
-    def consumer(env):
-        yield tank.get(10)
-        got.append(env.now)
-
-    def filler(env):
-        for _ in range(10):
-            yield env.timeout(1.0)
-            yield tank.put(1)
-
-    env.process(consumer(env))
-    env.process(filler(env))
-    env.run()
-    assert got == [10.0]
-
-
-def test_container_put_blocks_when_full():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    times = []
-
-    def producer(env):
-        yield tank.put(5)
-        times.append(env.now)
-
-    def drainer(env):
-        yield env.timeout(2.0)
-        yield tank.get(5)
-
-    env.process(producer(env))
-    env.process(drainer(env))
-    env.run()
-    assert times == [2.0]
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=11)
-    tank = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)
