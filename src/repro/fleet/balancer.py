@@ -271,6 +271,13 @@ def zipf_weights(n: int, skew: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _check_rate(rate: float) -> None:
+    # An infinite rate would make every arrival gap 0 (the source spins
+    # at one instant forever); NaN would slip past ``rate <= 0``.
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"rate must be finite and > 0, got {rate!r}")
+
+
 class OpenLoopSource:
     """Deterministic open-loop arrivals fanned through a LoadBalancer."""
 
@@ -280,8 +287,7 @@ class OpenLoopSource:
                  skew: float = 0.0, deadline_s: Optional[float] = None,
                  size_sampler: Optional[Callable] = None,
                  name: str = "source"):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        _check_rate(rate)
         if num_clients < 1:
             raise ValueError("num_clients must be >= 1")
         self.env = env
@@ -308,8 +314,7 @@ class OpenLoopSource:
         self.running = False
 
     def set_rate(self, rate: float) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        _check_rate(rate)
         self.rate = rate
 
     def start(self) -> None:

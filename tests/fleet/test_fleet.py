@@ -2,6 +2,7 @@
 across every routing policy."""
 
 import json
+import math
 
 import pytest
 
@@ -93,3 +94,34 @@ def test_client_perceived_percentiles_count_failures():
     assert fleet["client_failures"] > 0.01 * fleet["handled"]
     assert fleet["client_p99_ms"] == pytest.approx(25.0)
     assert fleet["p99_ms"] < fleet["client_p99_ms"]
+
+
+def _source(env, rate):
+    balancer = LoadBalancer(env, [], make_policy("round-robin"))
+    return OpenLoopSource(env, balancer, rate=rate,
+                          image_hw=DEFAULT_TESTBED.client_image_hw,
+                          rng=SeedBank(0).stream("arrivals"))
+
+
+@pytest.mark.timeout(30)
+@pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -1.0])
+def test_open_loop_source_rejects_bad_rate(rate):
+    """An infinite rate makes every arrival gap 0, so a source that
+    accepted one would spin at t=0 forever; NaN would fail later, deep
+    in the kernel.  Both must fail at construction."""
+    env = Environment()
+    with pytest.raises(ValueError, match="rate"):
+        _source(env, rate).start()
+        env.run(until=0.01)
+
+
+@pytest.mark.timeout(30)
+@pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -1.0])
+def test_open_loop_source_set_rate_rejects_bad_rate(rate):
+    env = Environment()
+    source = _source(env, 1000.0)
+    source.start()
+    with pytest.raises(ValueError, match="rate"):
+        source.set_rate(rate)
+        env.run(until=0.01)
+    assert source.rate == 1000.0
