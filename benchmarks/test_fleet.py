@@ -36,7 +36,7 @@ def test_fleet_scaling_wall_clock():
         def one_run(k=k):
             return fleet_experiment.serve_fleet(
                 policy="least-loaded", k=k, overload_x=0.75 * k,
-                sim_s=sim_s, degraded_host=-1)   # all hosts healthy
+                sim_s=sim_s, degraded_host=None)   # all hosts healthy
 
         one_run()                               # warm caches
         ev0 = total_events_processed()

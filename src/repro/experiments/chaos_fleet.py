@@ -31,22 +31,20 @@ hooks are zero-cost.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
-from ..calib import DEFAULT_TESTBED
 from ..faults import FaultPlan
-from ..fleet import (FleetChaos, HealthView, Host, HostConfig,
-                     LoadBalancer, OpenLoopSource, OutlierConfig,
-                     RecoveryConfig, fleet_rollup, make_policy)
-from ..sim import Environment, SeedBank
-from ..slo import (HostShape, SLOEvaluator, default_rules,
-                   default_serving_slos, kpis_from_rollup)
-from ..supervision import SupervisionConfig
-from ..telemetry import MetricsRegistry
-from .fleet import (BATCH_SIZE, DEADLINE_S, HOST_CORES, MARGIN_S, MODEL,
-                    single_host_knee)
+from ..fleet import OutlierConfig, RecoveryConfig
+from .fleet import DEADLINE_S, Scenario, serve, single_host_knee
 from .report import Report, timed
 
-__all__ = ["run", "serve_chaos", "default_recovery", "default_outlier"]
+__all__ = ["run", "CHAOS", "serve_chaos", "default_recovery",
+           "default_outlier"]
+
+# The chaos study's fleet: K=4 healthy least-loaded hosts at 2.8x the
+# knee, 32 unskewed clients.  Arm it with ``plan``/``recovery``/
+# ``outlier`` overrides.
+CHAOS = Scenario(overload_x=2.8, sim_s=1.5, seed=47)
 
 
 def default_recovery() -> RecoveryConfig:
@@ -62,85 +60,9 @@ def default_outlier() -> OutlierConfig:
     return OutlierConfig(deadline_s=DEADLINE_S)
 
 
-def _make_host(env: Environment, bank: SeedBank, index: int) -> Host:
-    namespace = f"host{index:02d}"
-    cfg = HostConfig(
-        model=MODEL, backend="dlbooster", batch_size=BATCH_SIZE,
-        cpu_cores=HOST_CORES, zone=f"az{index % 2}",
-        supervision=SupervisionConfig(deadline_s=DEADLINE_S,
-                                      admission_margin_s=MARGIN_S))
-    return Host(env, cfg, seeds=bank.spawn(namespace), namespace=namespace)
-
-
-def serve_chaos(plan=None, recovery=None, outlier=None,
-                k: int = 4, overload_x: float = 2.8, sim_s: float = 1.5,
-                seed: int = 47, policy: str = "least-loaded",
-                with_registry: bool = False, slo=False) -> dict:
-    """One chaos-armed fleet run; returns the rollup payload with an
-    attached ``repro-kpi/1`` section.
-
-    ``plan=None`` runs the completely unarmed PR 6 path (no FleetChaos
-    object at all); an empty plan arms a controller that immediately
-    reports inactive — the two must be byte-identical.  ``slo`` arms
-    the observation-only in-sim SLO evaluator exactly as
-    :func:`repro.experiments.fleet.serve_fleet` does.
-    """
-    env = Environment()
-    bank = SeedBank(seed)
-    registry = MetricsRegistry(name="chaos_fleet") if with_registry \
-        else None
-
-    def _build():
-        hosts = []
-        for i in range(k):
-            host = _make_host(env, bank, i)
-            host.start()
-            hosts.append(host)
-        chaos = None
-        if plan is not None:
-            chaos = FleetChaos(env, plan, seeds=bank.spawn("chaos"))
-        balancer = LoadBalancer(
-            env, hosts, make_policy(policy, rng=bank.stream("policy")),
-            chaos=chaos, recovery=recovery)
-        health = HealthView(env, balancer, outlier=outlier)
-        balancer.attach_health(health)
-        health.start()
-        source = OpenLoopSource(
-            env, balancer, rate=overload_x * single_host_knee(),
-            image_hw=DEFAULT_TESTBED.client_image_hw,
-            rng=bank.stream("arrivals"), num_clients=32,
-            deadline_s=DEADLINE_S)
-        source.start()
-        return hosts, balancer, health, source, chaos
-
-    if registry is not None:
-        with registry.installed():
-            hosts, balancer, health, source, chaos = _build()
-    else:
-        hosts, balancer, health, source, chaos = _build()
-    evaluator = None
-    if slo:
-        opts = dict(slo) if isinstance(slo, dict) else {}
-        period_s = opts.pop("period_s", sim_s / 40.0)
-        evaluator = SLOEvaluator(
-            env, default_serving_slos(DEADLINE_S, **opts),
-            rules=default_rules(sim_s), period_s=period_s)
-        evaluator.attach_source(source)
-        evaluator.start()
-    env.run(until=sim_s)
-    health.update()
-    # No extra sweep at the horizon: a reap scheduled outside env.run()
-    # would count outcomes whose done-callbacks never execute.  Flights
-    # past deadline but not yet swept stay ``open`` — conserved either
-    # way.
-    payload = fleet_rollup(hosts, balancer=balancer, source=source,
-                           health=health, registry=registry,
-                           deadline_s=DEADLINE_S, chaos=chaos)
-    payload["kpi"] = kpis_from_rollup(
-        payload, window_s=sim_s, shape=HostShape(cpu_cores=HOST_CORES))
-    if evaluator is not None:
-        payload["slo"] = evaluator.payload()
-    return payload
+def serve_chaos(**overrides) -> dict:
+    """The :data:`CHAOS` scenario with ``overrides`` (Scenario fields)."""
+    return serve(replace(CHAOS, **overrides))
 
 
 def _conserved(payload: dict) -> bool:
@@ -172,24 +94,10 @@ def _row(report: Report, label: str, payload: dict) -> None:
         "yes" if _conserved(payload) else "NO")
 
 
-def _run_scenarios(scenarios: list[tuple[str, dict]],
-                   parallel: int) -> list[dict]:
-    """Run (label, serve_chaos-kwargs) scenarios, optionally fanned out
-    to worker processes.  Each scenario seeds its own SeedBank, so
-    serial and parallel execution produce identical payloads."""
-    if parallel > 1:
-        from ..sweep import SweepPoint, run_sweep
-        points = [SweepPoint(runner="chaos_serve", config=config,
-                             label=label)
-                  for label, config in scenarios]
-        outcome = run_sweep(points, parallel=parallel)
-        return [res["values"] for res in outcome.results]
-    return [serve_chaos(**config) for _, config in scenarios]
-
-
 @timed
 def run(quick: bool = False, parallel: int = 1) -> Report:
     """Fleet chaos: crash/partition/gray-failure vs recovery on/off."""
+    from ..sweep import SweepPoint, run_sweep
     k = 3 if quick else 4
     sim_s = 1.0 if quick else 1.5
     # The knee point: offered load sized so the K-1 survivors can just
@@ -245,8 +153,11 @@ def run(quick: bool = False, parallel: int = 1) -> Report:
         ("empty", dict(plan=FaultPlan.of(name="empty"), **common)),
         ("unarmed", dict(plan=None, **common)),
     ]
-    (on, off, part, gray_on, gray_off, on2, off2, empty,
-     unarmed) = _run_scenarios(scenarios, parallel)
+    points = [SweepPoint(runner="chaos_serve", config=config, label=label)
+              for label, config in scenarios]
+    (on, off, part, gray_on, gray_off, on2, off2, empty, unarmed) = (
+        res["values"]
+        for res in run_sweep(points, parallel=parallel).results)
     report.kpis = {"crash-on": on["kpi"], "crash-off": off["kpi"],
                    "partition": part["kpi"], "gray-on": gray_on["kpi"],
                    "gray-off": gray_off["kpi"]}

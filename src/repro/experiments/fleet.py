@@ -28,19 +28,27 @@ Three claims are encoded as shape checks:
 
 A same-seed rerun of the A/B phase must produce byte-identical
 payloads — the fleet inherits the simulator's determinism.
+
+Every fleet run, here and in :mod:`.chaos_fleet`, is one validated
+:class:`Scenario` handed to :func:`serve`; ``serve_fleet`` and
+``serve_autoscale`` are its :data:`FLEET` and :data:`AUTOSCALE` presets.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from typing import Optional, Union
 
 from ..calib import DEFAULT_TESTBED, INFER_MODELS
 from ..engines import inference_batch_seconds
 from ..faults import FaultPlan, RetryPolicy
-from ..fleet import (Autoscaler, AutoscalerConfig, Host, HostConfig,
-                     HealthView, LoadBalancer, OpenLoopSource, fleet_rollup,
-                     make_policy, render_rollup)
+from ..fleet import (ROUTING_POLICIES, Autoscaler, AutoscalerConfig,
+                     FleetChaos, Host, HostConfig, HealthView, LoadBalancer,
+                     OpenLoopSource, OutlierConfig, RecoveryConfig,
+                     fleet_rollup, make_policy, render_rollup)
 from ..sim import Environment, SeedBank
 from ..slo import (HostShape, SLOEvaluator, default_rules,
                    default_serving_slos, kpis_from_rollup)
@@ -48,7 +56,8 @@ from ..supervision import SupervisionConfig
 from ..telemetry import MetricsRegistry
 from .report import Report, timed
 
-__all__ = ["run", "serve_fleet", "serve_autoscale", "single_host_knee"]
+__all__ = ["run", "Scenario", "serve", "FLEET", "AUTOSCALE", "serve_fleet",
+           "serve_autoscale", "single_host_knee"]
 
 MODEL = "googlenet"
 BATCH_SIZE = 4
@@ -60,6 +69,7 @@ MARGIN_S = 0.015
 # failover path (~300 img/s/core) cannot absorb a full round-robin
 # share — degradation is real, not cosmetic.
 HOST_CORES = 8
+_SLO_KEYS = ("availability", "latency_target", "period_s")
 
 
 def single_host_knee() -> float:
@@ -68,10 +78,104 @@ def single_host_knee() -> float:
     return BATCH_SIZE / inference_batch_seconds(spec, BATCH_SIZE)
 
 
+def _positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything one fleet run depends on.
+
+    K supervised hosts behind a ``policy`` balancer take open-loop
+    arrivals at ``overload_x`` times the single-host knee from
+    ``num_clients`` Zipf(``skew``) clients for ``sim_s`` seconds.  The
+    optional parts are off when ``None``/``False``:
+
+    * ``degraded_host`` — this host's FPGA is dead all run;
+    * ``plan`` — a fleet fault plan armed through ``FleetChaos``;
+      ``recovery`` and ``outlier`` configure re-dispatch/hedging and
+      outlier ejection;
+    * ``kmax`` — an autoscaler resizes the fleet between ``k`` and
+      ``kmax`` hosts;
+    * ``surge=(at, until, x)`` — the arrival rate is ``x`` knees over
+      ``[at, until)``;
+    * ``with_registry`` — a metrics registry snapshot lands in the
+      payload;
+    * ``slo`` — arms the observation-only in-sim SLO evaluator:
+      ``True`` for the default availability + latency objectives at the
+      serving deadline, or a dict of overrides (``availability`` /
+      ``latency_target`` targets, ``period_s`` tick period).
+
+    A bad value raises ``ValueError`` here, before any simulation
+    exists.
+    """
+
+    k: int = 4
+    policy: str = "least-loaded"
+    overload_x: float = 1.0
+    sim_s: float = 1.0
+    seed: int = 0
+    skew: float = 0.0
+    num_clients: int = 32
+    degraded_host: Optional[int] = None
+    plan: Optional[FaultPlan] = None
+    recovery: Optional[RecoveryConfig] = None
+    outlier: Optional[OutlierConfig] = None
+    kmax: Optional[int] = None
+    surge: Optional[tuple[float, float, float]] = None
+    with_registry: bool = False
+    slo: Union[bool, dict] = False
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.policy not in ROUTING_POLICIES:
+            raise ValueError(f"unknown routing policy {self.policy!r}; "
+                             f"choose from {ROUTING_POLICIES}")
+        for name in ("overload_x", "sim_s"):
+            if not _positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and > 0, got "
+                                 f"{getattr(self, name)!r}")
+        if not math.isfinite(self.skew):
+            raise ValueError(f"skew must be finite, got {self.skew!r}")
+        if self.num_clients < 1:
+            raise ValueError(
+                f"num_clients must be >= 1, got {self.num_clients}")
+        if self.degraded_host is not None \
+                and not 0 <= self.degraded_host < self.k:
+            raise ValueError(f"degraded_host must be in [0, {self.k}), "
+                             f"got {self.degraded_host}")
+        if self.kmax is not None and self.kmax < self.k:
+            raise ValueError(
+                f"kmax must be >= k={self.k}, got {self.kmax}")
+        if self.surge is not None:
+            at, until, x = self.surge
+            if not (0 <= at < until <= self.sim_s and _positive(x)):
+                raise ValueError(
+                    f"surge (at, until, x) needs 0 <= at < until <= "
+                    f"sim_s={self.sim_s} and a finite x > 0, got "
+                    f"{self.surge!r}")
+        if isinstance(self.slo, dict):
+            unknown = sorted(set(self.slo) - set(_SLO_KEYS))
+            if unknown:
+                raise ValueError(f"unknown slo keys {unknown}; "
+                                 f"choose from {_SLO_KEYS}")
+
+
+# Presets: the scenario shapes the fleet study runs.  ``FLEET`` has one
+# dead FPGA (host02) under a skewed client mix at 3x the knee;
+# ``AUTOSCALE`` starts at 2 hosts and surges from 1.2 to 3.4 knees.
+FLEET = Scenario(policy="round-robin", overload_x=3.0, sim_s=2.0, seed=23,
+                 skew=1.2, degraded_host=2)
+AUTOSCALE = Scenario(k=2, overload_x=1.2, sim_s=2.6, seed=31,
+                     num_clients=16, kmax=6, surge=(0.5, 1.5, 3.4))
+
+
 def _make_host(env: Environment, bank: SeedBank, index: int,
                degraded: bool = False) -> Host:
-    """One supervised serving host; ``degraded`` kills its FPGA for the
-    whole run (the breaker opens and CPU failover carries it)."""
+    """One supervised serving host in zone ``az{index % 2}``;
+    ``degraded`` kills its FPGA for the whole run (the breaker opens and
+    CPU failover carries it)."""
     plan = retry = None
     if degraded:
         plan = FaultPlan.of(
@@ -81,140 +185,124 @@ def _make_host(env: Environment, bank: SeedBank, index: int,
     namespace = f"host{index:02d}"
     cfg = HostConfig(
         model=MODEL, backend="dlbooster", batch_size=BATCH_SIZE,
-        cpu_cores=HOST_CORES,
+        cpu_cores=HOST_CORES, zone=f"az{index % 2}",
         supervision=SupervisionConfig(deadline_s=DEADLINE_S,
                                       admission_margin_s=MARGIN_S),
         fault_plan=plan, retry=retry)
     return Host(env, cfg, seeds=bank.spawn(namespace), namespace=namespace)
 
 
-def serve_fleet(policy: str = "round-robin", k: int = 4,
-                overload_x: float = 3.0, sim_s: float = 2.0,
-                seed: int = 23, degraded_host: int = 2,
-                skew: float = 1.2, num_clients: int = 32,
-                with_registry: bool = False, slo=False) -> dict:
-    """One fleet run: K hosts (one optionally degraded), open-loop
-    arrivals at ``overload_x`` times the single-host knee, skewed
-    client mix, one routing policy.  Returns the fleet rollup payload
-    with an attached ``repro-kpi/1`` section.
+def _surge(env: Environment, source: OpenLoopSource, knee: float,
+           scenario: Scenario):
+    at, until, x = scenario.surge
+    yield env.timeout(at)
+    source.set_rate(x * knee)
+    yield env.timeout(until - at)
+    source.set_rate(scenario.overload_x * knee)
 
-    ``slo`` arms the in-sim SLO evaluator (observation-only: every
-    simulated metric stays bit-identical with it on or off).  Pass
-    ``True`` for the default availability + latency objectives at the
-    serving deadline, or a dict of overrides — ``availability`` /
-    ``latency_target`` targets and ``period_s`` tick period — which
-    keeps sweep configs picklable.  The verdicts, burn-rate alerts and
-    transition log land in ``payload["slo"]``.
+
+def serve(scenario: Scenario) -> dict:
+    """Run one fleet scenario.  Returns the fleet rollup payload with an
+    attached ``repro-kpi/1`` section, plus ``autoscaler`` (with
+    ``kmax``) and ``slo`` (with ``slo``) sections.
+
+    ``plan=None`` runs the unarmed path (no FleetChaos object at all);
+    an empty plan arms a controller that immediately reports inactive —
+    the two are byte-identical.
     """
+    s = scenario
     env = Environment()
-    bank = SeedBank(seed)
-    registry = MetricsRegistry(name=f"fleet.{policy}") \
-        if with_registry else None
+    bank = SeedBank(s.seed)
+    knee = single_host_knee()
+    registry = MetricsRegistry(name=f"fleet.{s.policy}") \
+        if s.with_registry else None
 
-    def _build():
+    def make_host(index: int) -> Host:
+        return _make_host(env, bank, index,
+                          degraded=(index == s.degraded_host))
+
+    with registry.installed() if registry is not None else nullcontext():
         hosts = []
-        for i in range(k):
-            host = _make_host(env, bank, i, degraded=(i == degraded_host))
+        for i in range(s.k):
+            host = make_host(i)
             host.start()
             hosts.append(host)
+        chaos = None
+        if s.plan is not None:
+            chaos = FleetChaos(env, s.plan, seeds=bank.spawn("chaos"))
         balancer = LoadBalancer(
-            env, hosts, make_policy(policy, rng=bank.stream("policy")))
-        health = HealthView(env, balancer)
+            env, hosts, make_policy(s.policy, rng=bank.stream("policy")),
+            chaos=chaos, recovery=s.recovery)
+        health = HealthView(env, balancer, outlier=s.outlier)
         balancer.attach_health(health)
         health.start()
+        scaler = None
+        if s.kmax is not None:
+            scaler = Autoscaler(
+                env, balancer, host_factory=make_host,
+                config=AutoscalerConfig(min_hosts=s.k, max_hosts=s.kmax),
+                deadline_s=DEADLINE_S)
+            scaler.start()
         source = OpenLoopSource(
-            env, balancer, rate=overload_x * single_host_knee(),
+            env, balancer, rate=s.overload_x * knee,
             image_hw=DEFAULT_TESTBED.client_image_hw,
-            rng=bank.stream("arrivals"), num_clients=num_clients,
-            skew=skew, deadline_s=DEADLINE_S)
+            rng=bank.stream("arrivals"), num_clients=s.num_clients,
+            skew=s.skew, deadline_s=DEADLINE_S)
         source.start()
-        return hosts, balancer, health, source
-
-    if registry is not None:
-        with registry.installed():
-            hosts, balancer, health, source = _build()
-    else:
-        hosts, balancer, health, source = _build()
+        if s.surge is not None:
+            env.process(_surge(env, source, knee, s), name="surge-schedule")
     evaluator = None
-    if slo:
-        opts = dict(slo) if isinstance(slo, dict) else {}
-        period_s = opts.pop("period_s", sim_s / 40.0)
+    if s.slo:
+        opts = dict(s.slo) if isinstance(s.slo, dict) else {}
+        period_s = opts.pop("period_s", s.sim_s / 40.0)
         evaluator = SLOEvaluator(
             env, default_serving_slos(DEADLINE_S, **opts),
-            rules=default_rules(sim_s), period_s=period_s)
+            rules=default_rules(s.sim_s), period_s=period_s)
         evaluator.attach_source(source)
         evaluator.start()
-    env.run(until=sim_s)
+    if scaler is None:
+        env.run(until=s.sim_s)
+    else:
+        # Step the horizon so the peak fleet size is sampled every 0.1 s.
+        peak_active = s.k
+        horizon = 0.0
+        while horizon < s.sim_s:
+            horizon = min(horizon + 0.1, s.sim_s)
+            env.run(until=horizon)
+            peak_active = max(peak_active, len(balancer.active_hosts()))
     health.update()   # final classification at the horizon
-    payload = fleet_rollup(hosts, balancer=balancer, source=source,
+    # No extra deadline sweep at the horizon: a reap scheduled outside
+    # env.run() would count outcomes whose done-callbacks never execute.
+    # Flights past deadline but not yet swept stay ``open`` — conserved
+    # either way.
+    payload = fleet_rollup(balancer.hosts, balancer=balancer, source=source,
                            health=health, registry=registry,
-                           deadline_s=DEADLINE_S)
+                           deadline_s=DEADLINE_S, chaos=chaos)
+    if scaler is not None:
+        payload["autoscaler"] = {
+            "events": [list(e) for e in scaler.events],
+            "adds": len(scaler.additions()),
+            "drains": len(scaler.drains()),
+            "peak_active": peak_active,
+            "final_active": len(balancer.active_hosts()),
+        }
     payload["kpi"] = kpis_from_rollup(
-        payload, window_s=sim_s, shape=HostShape(cpu_cores=HOST_CORES))
+        payload, window_s=s.sim_s, shape=HostShape(cpu_cores=HOST_CORES))
     if evaluator is not None:
         payload["slo"] = evaluator.payload()
     return payload
 
 
-def serve_autoscale(sim_s: float = 2.6, seed: int = 31,
-                    base_x: float = 1.2, surge_x: float = 3.4,
-                    surge_at: float = 0.5, surge_until: float = 1.5,
-                    k0: int = 2, kmax: int = 6) -> dict:
-    """Surge-and-recover: the fleet starts at ``k0`` hosts, the arrival
-    rate steps from ``base_x`` to ``surge_x`` knees and back, and the
-    autoscaler resizes on fleet telemetry."""
-    env = Environment()
-    bank = SeedBank(seed)
-    knee = single_host_knee()
-    hosts = []
-    for i in range(k0):
-        host = _make_host(env, bank, i)
-        host.start()
-        hosts.append(host)
-    balancer = LoadBalancer(env, hosts,
-                            make_policy("least-loaded"))
-    health = HealthView(env, balancer)
-    balancer.attach_health(health)
-    health.start()
-    scaler = Autoscaler(
-        env, balancer,
-        host_factory=lambda i: _make_host(env, bank, i),
-        config=AutoscalerConfig(min_hosts=k0, max_hosts=kmax),
-        deadline_s=DEADLINE_S)
-    scaler.start()
-    source = OpenLoopSource(
-        env, balancer, rate=base_x * knee,
-        image_hw=DEFAULT_TESTBED.client_image_hw,
-        rng=bank.stream("arrivals"), num_clients=16,
-        deadline_s=DEADLINE_S)
-    source.start()
+def serve_fleet(**overrides) -> dict:
+    """The :data:`FLEET` scenario with ``overrides`` (Scenario fields)."""
+    return serve(replace(FLEET, **overrides))
 
-    def _surge():
-        yield env.timeout(surge_at)
-        source.set_rate(surge_x * knee)
-        yield env.timeout(surge_until - surge_at)
-        source.set_rate(base_x * knee)
 
-    env.process(_surge(), name="surge-schedule")
-    peak_active = k0
-    horizon = 0.0
-    while horizon < sim_s:
-        horizon = min(horizon + 0.1, sim_s)
-        env.run(until=horizon)
-        peak_active = max(peak_active, len(balancer.active_hosts()))
-    payload = fleet_rollup(balancer.hosts, balancer=balancer,
-                           source=source, health=health,
-                           deadline_s=DEADLINE_S)
-    payload["autoscaler"] = {
-        "events": [list(e) for e in scaler.events],
-        "adds": len(scaler.additions()),
-        "drains": len(scaler.drains()),
-        "peak_active": peak_active,
-        "final_active": len(balancer.active_hosts()),
-    }
-    payload["kpi"] = kpis_from_rollup(
-        payload, window_s=sim_s, shape=HostShape(cpu_cores=HOST_CORES))
-    return payload
+def serve_autoscale(**overrides) -> dict:
+    """Surge-and-recover: the :data:`AUTOSCALE` scenario with
+    ``overrides``; the payload's ``autoscaler`` section logs every
+    resize."""
+    return serve(replace(AUTOSCALE, **overrides))
 
 
 def _fleet_row(report: Report, label: str, payload: dict,
@@ -232,26 +320,10 @@ def _fleet_row(report: Report, label: str, payload: dict,
                   and payload["source"]["conserved"]) else "NO")
 
 
-def _run_scenarios(scenarios: list[tuple[str, str, dict]],
-                   parallel: int) -> list[dict]:
-    """Run (runner, label, config) scenarios, optionally fanned out to
-    worker processes.  Every scenario is an independent simulation with
-    its own Environment and SeedBank, so serial and parallel execution
-    produce identical payloads; results come back in list order."""
-    if parallel > 1:
-        from ..sweep import SweepPoint, run_sweep
-        points = [SweepPoint(runner=runner, config=config, label=label)
-                  for runner, label, config in scenarios]
-        outcome = run_sweep(points, parallel=parallel)
-        return [res["values"] for res in outcome.results]
-    runners = {"fleet_serve": serve_fleet,
-               "fleet_autoscale": serve_autoscale}
-    return [runners[runner](**config) for runner, _, config in scenarios]
-
-
 @timed
 def run(quick: bool = False, parallel: int = 1) -> Report:
     """Fleet serving: degradation, routing A/B, autoscaler surge."""
+    from ..sweep import SweepPoint, run_sweep
     k = 3 if quick else 4
     sim_s = 1.0 if quick else 2.0
     # A/B point: the K-1 healthy hosts can serve the whole offered load
@@ -273,23 +345,25 @@ def run(quick: bool = False, parallel: int = 1) -> Report:
                  "p99 ms", "client p99", "to-degraded", "conserved"])
 
     common = dict(k=k, sim_s=sim_s, degraded_host=min(2, k - 1))
-    scale_s = 1.6 if quick else 2.6
     rr_cfg = dict(policy="round-robin", overload_x=ab_x,
                   with_registry=True, **common)
-    scenarios = [
-        ("fleet_serve", "rr", rr_cfg),
-        ("fleet_serve", "ll", dict(policy="least-loaded",
-                                   overload_x=ab_x, with_registry=True,
-                                   **common)),
-        ("fleet_serve", "stress", dict(policy="least-loaded",
-                                       overload_x=stress_x, **common)),
-        ("fleet_autoscale", "surge",
-         dict(sim_s=scale_s, surge_at=0.4 if quick else 0.5,
-              surge_until=0.9 if quick else 1.5)),
+    # The full profile runs the AUTOSCALE preset as it stands.
+    surge_cfg = dict(sim_s=1.6, surge=(0.4, 0.9, 3.4)) if quick else {}
+    points = [
+        SweepPoint(runner="fleet_serve", config=rr_cfg, label="rr"),
+        SweepPoint(runner="fleet_serve", label="ll", config=dict(
+            policy="least-loaded", overload_x=ab_x, with_registry=True,
+            **common)),
+        SweepPoint(runner="fleet_serve", label="stress", config=dict(
+            policy="least-loaded", overload_x=stress_x, **common)),
+        SweepPoint(runner="fleet_autoscale", config=surge_cfg,
+                   label="surge"),
         # Determinism fingerprint: the A/B phase replayed end-to-end.
-        ("fleet_serve", "rr2", dict(rr_cfg)),
+        SweepPoint(runner="fleet_serve", config=dict(rr_cfg), label="rr2"),
     ]
-    rr, ll, stress, surge, rr2 = _run_scenarios(scenarios, parallel)
+    rr, ll, stress, surge, rr2 = (
+        res["values"]
+        for res in run_sweep(points, parallel=parallel).results)
     report.kpis = {"round-robin": rr["kpi"], "least-loaded": ll["kpi"],
                    "stress": stress["kpi"],
                    "autoscale-surge": surge["kpi"]}

@@ -103,7 +103,7 @@ def evaluate_k(k: int, spec: PlanSpec, knee: float,
     config = {
         "policy": spec.policy, "k": k,
         "overload_x": spec.rate / knee,
-        "sim_s": spec.sim_s, "degraded_host": -1,
+        "sim_s": spec.sim_s, "degraded_host": None,
         "slo": {"availability": spec.availability,
                 "latency_target": spec.latency_target},
     }

@@ -78,34 +78,35 @@ def run_fig7_point(config: dict, seed: Optional[int]) -> dict:
     return out
 
 
-@point_runner("fleet_serve")
-def run_fleet_point(config: dict, seed: Optional[int]) -> dict:
-    """One multi-host serving scenario (repro.fleet rollup payload)."""
-    from ..experiments import fleet
+def _serve_point(entry: Callable[..., dict], config: dict,
+                 seed: Optional[int]) -> dict:
+    """One fleet scenario: ``entry``'s preset with ``config`` (Scenario
+    fields) and the sweep's seed applied."""
     config = dict(config)
     if seed is not None:
         config["seed"] = seed
-    return {"values": fleet.serve_fleet(**config)}
+    return {"values": entry(**config)}
+
+
+@point_runner("fleet_serve")
+def run_fleet_point(config: dict, seed: Optional[int]) -> dict:
+    """One multi-host serving scenario (repro.fleet rollup payload)."""
+    from ..experiments.fleet import serve_fleet
+    return _serve_point(serve_fleet, config, seed)
 
 
 @point_runner("fleet_autoscale")
 def run_autoscale_point(config: dict, seed: Optional[int]) -> dict:
     """One autoscaler surge-and-recover scenario."""
-    from ..experiments import fleet
-    config = dict(config)
-    if seed is not None:
-        config["seed"] = seed
-    return {"values": fleet.serve_autoscale(**config)}
+    from ..experiments.fleet import serve_autoscale
+    return _serve_point(serve_autoscale, config, seed)
 
 
 @point_runner("chaos_serve")
 def run_chaos_point(config: dict, seed: Optional[int]) -> dict:
     """One chaos-armed fleet scenario (fault plan + recovery config)."""
-    from ..experiments import chaos_fleet
-    config = dict(config)
-    if seed is not None:
-        config["seed"] = seed
-    return {"values": chaos_fleet.serve_chaos(**config)}
+    from ..experiments.chaos_fleet import serve_chaos
+    return _serve_point(serve_chaos, config, seed)
 
 
 @point_runner("ps_study")

@@ -15,7 +15,7 @@ from repro.experiments.fleet import serve_fleet
 from repro.experiments.overload import serve_open_loop
 
 FLEET = dict(policy="least-loaded", k=2, overload_x=1.2, sim_s=0.3,
-             degraded_host=-1, with_registry=True)
+             degraded_host=None, with_registry=True)
 
 
 def canon(payload):
