@@ -32,17 +32,15 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..backends import DLBoosterInferenceBackend
-from ..calib import DEFAULT_TESTBED, INFER_MODELS
+from ..calib import DEFAULT_TESTBED
 from ..data import jpeg_size_sampler
-from ..engines import (CpuCorePool, GpuDevice, InferenceEngine,
-                       inference_batch_seconds)
-from ..host import BatchSpec
-from ..net import Link, NetRequest, Nic
+from ..engines import inference_batch_seconds
+from ..fleet import Host, HostConfig
+from ..net import NetRequest
 from ..sim import Environment, LatencyRecorder, SeedBank
 from ..slo import (AVAILABILITY, HostShape, SLODefinition, SLOEvaluator,
                    default_rules, kpis_from_metrics)
-from ..supervision import SupervisionConfig, Supervisor
+from ..supervision import SupervisionConfig
 from ..telemetry import MetricsRegistry
 from .report import Report, timed
 
@@ -98,34 +96,23 @@ def serve_open_loop(deadline_s: Optional[float] = None,
     env = Environment()
     seeds = SeedBank(seed)
     testbed = DEFAULT_TESTBED
-    spec = INFER_MODELS[model]
-    bspec = BatchSpec(batch_size=batch_size, out_h=spec.input_hw[0],
-                      out_w=spec.input_hw[1], channels=spec.channels)
+    supervision = None
+    if deadline_s is not None:
+        supervision = SupervisionConfig(
+            deadline_s=deadline_s, admission_margin_s=admission_margin_s)
+    # RX ring sized so the no-shed baseline never drops: the backlog is
+    # the measurement, not an artifact of ring exhaustion.
+    cfg = HostConfig(model=model, backend="dlbooster",
+                     batch_size=batch_size, rx_capacity=1 << 20,
+                     supervision=supervision)
     registry = MetricsRegistry(name="overload") if with_registry else None
     with registry.installed() if registry is not None else nullcontext():
-        cpu = CpuCorePool(env, testbed.cpu_cores)
-        link = Link(env, testbed.nic_rate, mtu=testbed.nic_mtu)
-        # RX ring sized so the no-shed baseline never drops: the backlog
-        # is the measurement, not an artifact of ring exhaustion.
-        nic = Nic(env, link, cpu.tracker,
-                  per_packet_s=testbed.nic_per_packet_s,
-                  rx_capacity=1 << 20)
+        host = Host(env, cfg, testbed=testbed)
+        host.start()
+    nic, backend = host.nic, host.backend
+    engine = host.engines[0]
 
-        supervisor = None
-        if deadline_s is not None:
-            supervisor = Supervisor(env, SupervisionConfig(
-                deadline_s=deadline_s,
-                admission_margin_s=admission_margin_s))
-
-        gpu = GpuDevice(env, testbed, 0)
-        engine = InferenceEngine(env, gpu, spec, cpu, testbed,
-                                 batch_size=batch_size)
-        engine.start()
-        backend = DLBoosterInferenceBackend(env, testbed, cpu, nic, bspec,
-                                            supervisor=supervisor)
-        backend.start([engine])
-
-    capacity = batch_size / inference_batch_seconds(spec, batch_size)
+    capacity = batch_size / inference_batch_seconds(host.spec, batch_size)
     rate = overload * capacity
     gap = 1.0 / rate
     h, w = testbed.client_image_hw
@@ -176,7 +163,7 @@ def serve_open_loop(deadline_s: Optional[float] = None,
     half = sim_s / 2.0
     env.run(until=half)
     p99_first = engine.latency.p99()
-    engine.latency = LatencyRecorder(name=f"{gpu.name}.latency")
+    engine.latency = LatencyRecorder(name=f"{engine.gpu.name}.latency")
     served_mark = int(engine.predictions.total)
     env.run(until=sim_s)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..calib import DEFAULT_TESTBED, INFER_MODELS, Testbed
+from ..calib import DEFAULT_TESTBED, Testbed
 from ..data import jpeg_size_sampler
 from ..faults import FaultPlan
 from ..fleet import Host, HostConfig
@@ -98,16 +98,6 @@ def run_inference(cfg: InferenceConfig,
 
 def _run_inference(cfg: InferenceConfig, testbed: Testbed,
                    registry: Optional[MetricsRegistry]) -> InferenceResult:
-    if cfg.model not in INFER_MODELS:
-        raise ValueError(f"unknown model {cfg.model!r}")
-    if cfg.batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if cfg.num_gpus < 1 or cfg.num_gpus > testbed.gpu_count:
-        raise ValueError(f"num_gpus must be 1..{testbed.gpu_count}")
-
-    if cfg.backend not in INFERENCE_BACKENDS:
-        raise ValueError(f"unknown backend {cfg.backend!r}; "
-                         f"choose from {INFERENCE_BACKENDS}")
     env = Environment()
     seeds = SeedBank(cfg.seed)
 
