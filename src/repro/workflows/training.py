@@ -8,6 +8,7 @@ Figs. 5 and 6 do.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -175,6 +176,11 @@ def _run_training(cfg: TrainingConfig, testbed: Testbed, tracer_factory,
                       out_w=model_spec.input_hw[1],
                       channels=model_spec.channels)
     cpu = CpuCorePool(env, testbed.cpu_cores)
+    # A finished run is cyclic garbage that sits in the oldest
+    # generation, where only a full collection frees it.  Collect before
+    # building the next corpus, so back-to-back runs keep one corpus
+    # alive, not as many as happen to survive until the next full pass.
+    gc.collect()
     manifest = _make_manifest(cfg.model, cfg.dataset_size, seeds)
 
     sync = SyncGroup(env, cfg.num_gpus, model_spec, testbed)

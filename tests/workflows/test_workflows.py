@@ -1,5 +1,8 @@
 """Tests for the workflow drivers and windowed metrics."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.engines import CpuCorePool
@@ -102,6 +105,32 @@ def test_run_training_deterministic():
     b = run_training(cfg)
     assert a.throughput == b.throughput
     assert a.cpu_cores == b.cpu_cores
+
+
+def test_run_training_frees_the_previous_corpus_first(monkeypatch):
+    # A finished run is cyclic garbage.  With the automatic collector
+    # off, only run_training's own collection can free it, and it must
+    # do so before the next run builds its corpus.
+    from repro.workflows import training
+    built, alive_at_build = [], []
+    make_manifest = training._make_manifest
+
+    def tracking(model, n, seeds):
+        alive_at_build.append([ref() is not None for ref in built])
+        manifest = make_manifest(model, n, seeds)
+        built.append(weakref.ref(manifest))
+        return manifest
+
+    monkeypatch.setattr(training, "_make_manifest", tracking)
+    cfg = TrainingConfig(model="alexnet", backend="dlbooster",
+                         dataset_size=2000, warmup_s=0.05, measure_s=0.1)
+    gc.disable()
+    try:
+        run_training(cfg)
+        run_training(cfg)
+    finally:
+        gc.enable()
+    assert alive_at_build == [[], [False]]
 
 
 # --------------------------------------------------------------- inference
