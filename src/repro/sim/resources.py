@@ -3,7 +3,7 @@
 Two families:
 
 * :class:`Resource` — a counted semaphore with FIFO queueing; models
-  CPU-core pools, DMA engines, PCIe lanes, database reader slots.
+  CPU-core pools, PCIe lanes, database reader slots.
 * :class:`Store` — a buffer of discrete items with put/get blocking; the
   basis of every queue in the system (FIFO cmd queues, batch queues,
   Trans Queues).
@@ -15,7 +15,7 @@ deterministic.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .core import PROCESSED, Environment, Event, SimulationError
 
@@ -140,18 +140,16 @@ class StorePut(Event):
 
 
 class StoreGet(Event):
-    __slots__ = ("filter",)
+    __slots__ = ()
 
-    def __init__(self, store: "Store",
-                 filter: Optional[Callable[[Any], bool]] = None):
+    def __init__(self, store: "Store"):
         self.env = store.env
         self.callbacks = []
         self._value = None
         self._ok = True
         self._state = 0                 # PENDING
-        self.filter = filter
         items = store.items
-        if filter is None and items and not store._get_waiters:
+        if items and not store._get_waiters:
             # Immediate serve: item available, no earlier getter to
             # overtake.  succeed() first, then admit any putter freed by
             # the vacated slot — the exact order _drain() would produce.
@@ -175,8 +173,8 @@ class Store:
     Besides the event-based ``put``/``get``, callback-driven consumers
     use :meth:`offer` and :meth:`take`, which cost no event when they
     complete at once.  A getter parked by :meth:`take` is a *direct*
-    waiter: any object with ``filter = None`` whose ``succeed(item)``
-    takes the item synchronously, inside the put that supplied it.
+    waiter: any object whose ``succeed(item)`` takes the item
+    synchronously, inside the put that supplied it.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf"),
@@ -258,22 +256,9 @@ class Store:
         return len(self.items)
 
     # -- internals -----------------------------------------------------
-    def _match_get(self, getter: StoreGet) -> bool:
-        if getter.filter is None:
-            if self.items:
-                getter.succeed(self.items.popleft())
-                return True
-            return False
-        for idx, item in enumerate(self.items):
-            if getter.filter(item):
-                del self.items[idx]
-                getter.succeed(item)
-                return True
-        return False
-
     def _drain(self) -> None:
         # Hot path: runs on every put/get.  Deques and capacity live in
-        # locals, and the common unfiltered get is matched inline.
+        # locals.
         #
         # Reentrancy: a StorePut/StoreGet's succeed() only schedules
         # callbacks, but a direct waiter's succeed() runs its consumer
@@ -301,22 +286,11 @@ class Store:
                     items.append(putter.item)
                     putter.succeed()
                     progressed = True
-                # Serve getters in arrival order; a filtered getter that
-                # cannot match stays at the head (strict FIFO, no
-                # overtaking).
-                while gets:
-                    getter = gets[0]
-                    if getter.filter is None:
-                        if not items:
-                            break
-                        gets.popleft()
-                        getter.succeed(items.popleft())
-                        progressed = True
-                    elif self._match_get(getter):
-                        gets.popleft()
-                        progressed = True
-                    else:
-                        break
+                # Serve getters in arrival order.
+                while gets and items:
+                    getter = gets.popleft()
+                    getter.succeed(items.popleft())
+                    progressed = True
                 if not progressed:
                     return
         finally:
