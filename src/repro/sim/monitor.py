@@ -49,6 +49,12 @@ def set_active_registry(registry) -> Optional[object]:
     return previous
 
 
+def registry_active() -> bool:
+    """True while a registry is installed, i.e. while the instruments
+    built now would be read by one."""
+    return _ACTIVE_REGISTRY is not None
+
+
 def _autoregister(instrument) -> None:
     if _ACTIVE_REGISTRY is not None:
         _ACTIVE_REGISTRY.register(instrument)

@@ -122,10 +122,12 @@ def test_reference_mode_decode_bit_identical():
 def test_reference_mode_sim_bit_identical():
     """A small end-to-end sim gives identical results either mode."""
     from repro.sim import Channel, Environment
+    from repro.telemetry import MetricsRegistry
 
     def run_once():
         env = Environment()
-        ch = Channel(env, capacity=4, name="t")
+        with MetricsRegistry().installed():
+            ch = Channel(env, capacity=4, name="t")
         got = []
 
         def producer():

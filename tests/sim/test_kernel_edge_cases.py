@@ -2,6 +2,7 @@
 instrumentation under churn."""
 
 from repro.sim import Channel, Environment
+from repro.telemetry import MetricsRegistry
 
 
 def test_all_of_fails_fast_on_failed_member():
@@ -63,7 +64,8 @@ def test_nested_conditions():
 
 def test_channel_occupancy_under_churn():
     env = Environment()
-    ch = Channel(env, capacity=4)
+    with MetricsRegistry().installed():
+        ch = Channel(env, capacity=4)
 
     def producer(env):
         for i in range(100):

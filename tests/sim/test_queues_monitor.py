@@ -7,6 +7,7 @@ import pytest
 from repro.sim import (BusyTracker, Channel, Counter, Environment,
                        IntervalRate, LatencyRecorder, QueuePair,
                        TimeWeighted)
+from repro.telemetry import MetricsRegistry
 
 
 # ---------------------------------------------------------------- Channel
@@ -31,7 +32,8 @@ def test_channel_put_get_roundtrip():
 
 def test_channel_records_wait_time():
     env = Environment()
-    ch = Channel(env)
+    with MetricsRegistry().installed():
+        ch = Channel(env)
 
     def producer(env):
         yield from ch.put("early")
@@ -80,7 +82,8 @@ def test_channel_try_ops_and_drain():
 
 def test_channel_occupancy_time_weighted():
     env = Environment()
-    ch = Channel(env)
+    with MetricsRegistry().installed():
+        ch = Channel(env)
 
     def p(env):
         ch.try_put("x")
@@ -91,6 +94,36 @@ def test_channel_occupancy_time_weighted():
     env.process(p(env))
     env.run()
     assert ch.occupancy.mean() == pytest.approx(0.5)
+
+
+def test_channel_monitors_exist_only_under_a_registry():
+    env = Environment()
+    bare = Channel(env, capacity=2, name="bare")
+    reg = MetricsRegistry()
+    with reg.installed():
+        armed = Channel(env, capacity=2, name="armed")
+    assert bare.wait is None and bare.occupancy is None
+    assert sorted(reg.names()) == ["armed.occupancy", "armed.wait"]
+    assert reg.get("armed.occupancy") is armed.occupancy
+    assert reg.get("armed.wait") is armed.wait
+
+    def producer(env, ch):
+        for i in range(5):
+            yield from ch.put(i)
+
+    def consumer(env, ch):
+        for _ in range(5):
+            yield env.timeout(1.0)
+            yield from ch.get()
+
+    for ch in (bare, armed):
+        env.process(producer(env, ch))
+        env.process(consumer(env, ch))
+    env.run()
+    assert (bare.put_count, bare.get_count) == (5, 5)
+    assert (armed.put_count, armed.get_count) == (5, 5)
+    assert armed.wait.count == 5
+    assert armed.occupancy.max_value == 2
 
 
 # ---------------------------------------------------------------- QueuePair
