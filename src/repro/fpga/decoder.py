@@ -151,7 +151,12 @@ class DataReader(FifoStage):
 
 
 class DmaWriter(FifoStage):
-    """Writes results to host hugepages, then raises FINISH."""
+    """Writes results to host hugepages, then raises FINISH.
+
+    The stage is 1-way and the device's only DMA user, so a write is one
+    timeout of ``out_bytes / fpga_dma_rate``, credited to the bound
+    device's ``dma_busy`` while it runs.
+    """
 
     def __init__(self, mirror: "ImageDecoderMirror"):
         super().__init__(mirror.env, f"{mirror.name}.dmaw", 1,
@@ -172,17 +177,24 @@ class DmaWriter(FifoStage):
                 dest_phy=cmd.dest_phy, dest_offset=cmd.dest_offset,
                 out_bytes=0, finished_at=self.env.now,
                 status="error", error=cmd.error))
-        self._held[way] = cmd
-        if mirror.device is not None:
-            mirror.device.dma_write_then(cmd.out_bytes, self._written[way])
-        else:
-            self.env.timeout(
-                cmd.out_bytes / mirror.testbed.fpga_dma_rate
-            ).callbacks.append(self._written[way])
+        nbytes = cmd.out_bytes
+        if nbytes <= 0:
+            raise ValueError(f"dma size must be positive, got {nbytes}")
+        # The busy tracker is held with the cmd: a mirror swapped out
+        # mid-write still credits the device it started on.
+        busy = mirror.device.dma_busy if mirror.device is not None else None
+        tok = busy.begin("dma") if busy is not None else None
+        self._held[way] = (cmd, busy, tok)
+        self.env.timeout(
+            nbytes / mirror.testbed.fpga_dma_rate
+        ).callbacks.append(self._written[way])
         return False
 
     def _on_written(self, way: int, _event: Any = None) -> None:
-        cmd = self._held[way]
+        cmd, busy, tok = self._held[way]
+        if busy is not None:
+            busy.end(tok)
+        self._held[way] = cmd
         mirror = self.mirror
         if mirror.functional and cmd.result is not None \
                 and mirror.host_pool is not None:

@@ -1,20 +1,20 @@
-"""FPGA device model: CLB budget, mirror loading, DMA engines.
+"""FPGA device model: CLB budget, mirror loading, DMA busy time.
 
 The paper deploys its decoder on an Intel Arria 10 AX (S5.1) and makes
 the decoder a *pluggable mirror*: "users [can] download relevant
 preprocessing mirrors to FPGA devices for different applications"
 (S3.1).  The device here enforces the board's logic budget when a
 mirror is loaded — which is exactly the constraint that forces the
-paper's 4-way-Huffman / 2-way-resizer balance (S3.3) — and owns the
-DMA path to host hugepages.
+paper's 4-way-Huffman / 2-way-resizer balance (S3.3) — and accounts the
+busy time of the DMA path to host hugepages.  That path has one user,
+the loaded mirror's 1-way DMA stage, which already serializes the
+writes, so the engine needs no queue of its own.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
-
 from ..calib import Testbed
-from ..sim import BusyTracker, Environment, Resource, drive
+from ..sim import BusyTracker, Environment
 
 __all__ = ["FpgaDevice", "FpgaResourceError"]
 
@@ -28,7 +28,7 @@ class FpgaResourceError(RuntimeError):
 
 
 class FpgaDevice:
-    """One FPGA board: logic budget + DMA engine + loaded mirror slot."""
+    """One FPGA board: logic budget + DMA busy time + loaded mirror slot."""
 
     def __init__(self, env: Environment, testbed: Testbed,
                  clb_budget: int = ARRIA10_CLB_BUDGET,
@@ -38,7 +38,7 @@ class FpgaDevice:
         self.name = name
         self.clb_budget = clb_budget
         self.mirror = None
-        self._dma = Resource(env, capacity=1, name=f"{name}.dma")
+        # Credited by the mirror's DMA stage around each write.
         self.dma_busy = BusyTracker(env, name=f"{name}.dma")
 
     # -- mirror management (pluggable decoders, S3.1) --------------------
@@ -63,25 +63,5 @@ class FpgaDevice:
         return self.clb_budget - self.clb_used
 
     # -- DMA ---------------------------------------------------------------
-    def dma_write(self, nbytes: int):
-        """Generator: move ``nbytes`` decoder->host over the DMA engine."""
-        if nbytes <= 0:
-            raise ValueError(f"dma size must be positive, got {nbytes}")
-        grant = self._dma.request()
-        yield grant
-        tok = self.dma_busy.begin("dma")
-        try:
-            yield self.env.timeout(nbytes / self.testbed.fpga_dma_rate)
-        finally:
-            self.dma_busy.end(tok)
-            self._dma.release(grant)
-
-    def dma_write_then(self, nbytes: int, done: Callable[[Any], None]
-                       ) -> None:
-        """Callback form of :meth:`dma_write`, for actors that are not
-        processes: ``done(None)`` runs inside the event that completes
-        the write.  A bad size raises here, at once."""
-        drive(self.dma_write(nbytes), done)
-
     def dma_utilization(self) -> float:
         return self.dma_busy.cores("dma")

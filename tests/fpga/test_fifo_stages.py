@@ -177,10 +177,11 @@ def test_expired_items_shed_before_an_idle_way_serves_them():
     assert inbox.get_count == 3
 
 
-# A modeled decoder fed N DRAM cmds: one Timeout per stage service, one
-# DMA-engine grant, and the feeder's and collector's channel events.  A
-# per-hop grant or ack event would add hundreds at N = 100.
-EVENT_BUDGET = {1: 18, 10: 99, 100: 940}
+# A modeled decoder fed N DRAM cmds: one Timeout per stage service (the
+# DMA write included, with no engine grant) and the feeder's and
+# collector's channel events.  A per-hop grant or ack event would add
+# hundreds at N = 100.
+EVENT_BUDGET = {1: 17, 10: 89, 100: 840}
 
 
 def test_event_budget_per_decoded_cmd():

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.calib import DEFAULT_TESTBED
-from repro.fpga import (ARRIA10_CLB_BUDGET, FpgaDevice, FpgaResourceError,
-                        ImageDecoderMirror, PipelineUnit)
+from repro.fpga import (ARRIA10_CLB_BUDGET, DecodeCmd, FpgaDevice,
+                        FpgaResourceError, ImageDecoderMirror, PipelineUnit)
 from repro.sim import Channel, Environment
 
 
@@ -130,28 +130,28 @@ def test_device_mirror_swap():
     assert first.device is None
 
 
-def test_device_dma_timing():
+def write_through_dma_stage(out_h):
+    """Queue one cmd at a bound mirror's DMA stage and run to the end."""
     env = Environment()
     device = FpgaDevice(env, DEFAULT_TESTBED)
-    done = []
-
-    def p(env):
-        yield from device.dma_write(int(DEFAULT_TESTBED.fpga_dma_rate))
-        done.append(env.now)
-
-    env.process(p(env))
+    mirror = ImageDecoderMirror(env, DEFAULT_TESTBED)
+    device.load_mirror(mirror)
+    cmd = DecodeCmd(cmd_id=0, source="dram", size_bytes=110_000,
+                    work_pixels=281_250, out_h=out_h, out_w=224, channels=3,
+                    dest_phy=0x4000_0000, dest_offset=0)
+    assert mirror._dma_q.try_put(cmd)
     env.run()
-    assert done[0] == pytest.approx(1.0)
+    return env, device, mirror.finish_queue.drain()
+
+
+def test_device_dma_timing():
+    env, device, [record] = write_through_dma_stage(out_h=224)
+    assert record.finished_at == pytest.approx(
+        224 * 224 * 3 / DEFAULT_TESTBED.fpga_dma_rate)
+    assert env.now == record.finished_at
     assert device.dma_utilization() == pytest.approx(1.0)
 
 
 def test_device_dma_validation():
-    env = Environment()
-    device = FpgaDevice(env, DEFAULT_TESTBED)
-
-    def p(env):
-        yield from device.dma_write(0)
-
-    env.process(p(env))
     with pytest.raises(ValueError):
-        env.run()
+        write_through_dma_stage(out_h=0)
