@@ -93,10 +93,3 @@ class TrainingBackend(ABC):
     # -- shared helpers --------------------------------------------------
     def _epoch_rng(self) -> np.random.Generator:
         return self.seeds.stream(f"{self.name}-shuffle")
-
-    def _poll_ticker(self, core_frac: float, category: str,
-                     tick_s: float = 0.01):
-        """Charge a busy-poll duty cycle while the backend runs."""
-        while True:
-            yield self.env.timeout(tick_s)
-            self.cpu.charge_unaccounted(core_frac * tick_s, category)

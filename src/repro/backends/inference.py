@@ -13,13 +13,12 @@ from typing import Optional, Sequence
 
 from ..calib import Testbed
 from ..engines import CpuCorePool, InferenceEngine
-from ..faults import (CircuitBreaker, FaultInjector, FaultPlan, QuarantineLog,
-                      RetryPolicy)
-from ..fpga import DecodeCmd, FpgaDevice, FPGAChannel, ImageDecoderMirror
-from ..host import BatchSpec, DataCollector, Dispatcher, FPGAReader
-from ..memory import MemManager
+from ..faults import FaultInjector, RetryPolicy
+from ..fpga import DecodeCmd, FPGAChannel
+from ..host import BatchSpec, DataCollector
 from ..net import Nic
-from ..sim import Counter, Environment, Resource, SeedBank, scoped_name
+from ..sim import Counter, Environment, Resource, scoped_name
+from .dlbooster import _DLBoosterPlane
 
 __all__ = ["CpuInferenceBackend", "NvJpegInferenceBackend",
            "DLBoosterInferenceBackend"]
@@ -184,7 +183,7 @@ class NvJpegInferenceBackend(_InferenceBackendBase):
         inflight.release(slot)
 
 
-class DLBoosterInferenceBackend(_InferenceBackendBase):
+class DLBoosterInferenceBackend(_DLBoosterPlane, _InferenceBackendBase):
     """NIC -> FPGA decoder -> hugepage pool -> dispatcher -> engine.
 
     ``gpu_direct=True`` enables the paper's future-work item (2)
@@ -192,96 +191,38 @@ class DLBoosterInferenceBackend(_InferenceBackendBase):
     latency", S7): the decoder's DMA engine targets device memory
     peer-to-peer, skipping the host staging buffer and the dispatcher's
     PCIe copy entirely.
+
+    An ``injector`` arms the decode path against its host's fault plan:
+    this is what lets a fleet degrade *one* host's FPGA (decoder_crash
+    -> breaker opens -> CPU failover) while its peers stay healthy.
     """
 
     name = "dlbooster"
+    _POOL = "dlbooster-infer-pool"
+    _DECODER = "infer-decoder-{}"
+    _QUARANTINE = "dlbooster-infer-quarantine"
+    _CONSUMER = "engine-{}"
 
-    def __init__(self, *args, num_fpgas: int = 1, pool_units: int = 8,
-                 functional: bool = False, gpu_direct: bool = False,
+    def __init__(self, *args, num_fpgas: int = 1, gpu_direct: bool = False,
                  supervisor=None, rtracker=None,
-                 fault_plan: Optional[FaultPlan] = None,
                  injector: Optional[FaultInjector] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 seeds: Optional[SeedBank] = None,
-                 **kwargs):
+                 retry: Optional[RetryPolicy] = None, **kwargs):
         super().__init__(*args, **kwargs)
         self.gpu_direct = gpu_direct
-        self.rtracker = rtracker
-        if num_fpgas < 1:
-            raise ValueError("num_fpgas must be >= 1")
-        # Supervision (repro.supervision): watchdog heartbeats, deadline
-        # shedding at the NIC/reader/dispatcher boundaries, integrity
-        # verification.  None (or a disabled config) adds nothing.
-        self.supervisor = supervisor \
-            if supervisor is not None and supervisor.config.enabled else None
+        self._wire(num_fpgas, injector, retry, supervisor, rtracker,
+                   quarantine=injector is not None or retry is not None,
+                   gpu_direct=gpu_direct)
+        # Supervision (repro.supervision): deadline shedding at the NIC
+        # boundary and integrity stamping at ingest.
         sup = self.supervisor
         if sup is not None:
             if sup.sheds_deadlines:
                 self.collector.deadline_s = sup.config.deadline_s
             self.collector.integrity = sup.integrity
             sup.arm_admission(self.nic.rx_queue)
-        # Fault layer (repro.faults), mirroring the training backend:
-        # only materialised when a plan is armed, so the default serving
-        # build is byte-identical to a fault-free one.  This is what
-        # lets a fleet degrade *one* host's FPGA (decoder_crash ->
-        # breaker opens -> CPU failover) while its peers stay healthy.
-        self.injector = injector
-        if self.injector is None and fault_plan:
-            self.injector = FaultInjector(
-                self.env, fault_plan,
-                seeds=(seeds if seeds is not None
-                       else SeedBank()).spawn("faults"))
-        armed = self.injector is not None or fault_plan
-        self.breaker = breaker
-        if self.breaker is None and (armed or retry is not None):
-            self.breaker = CircuitBreaker(
-                self.env, name=self._scoped("breaker"))
-        if self.breaker is not None and rtracker is not None:
-            self.breaker.rtracker = rtracker
-        self.quarantine = (
-            QuarantineLog(self.env,
-                          name=self._scoped("dlbooster-infer-quarantine"))
-            if (armed or retry is not None) else None)
-        self.pool = MemManager(self.env, unit_size=self.spec.batch_bytes,
-                               unit_count=pool_units,
-                               allocate_arena=functional,
-                               name=self._scoped("dlbooster-infer-pool"))
-        self.devices = []
-        self.channels = []
-        for i in range(num_fpgas):
-            device = FpgaDevice(self.env, self.testbed,
-                                name=self._scoped(f"fpga{i}"))
-            mirror = ImageDecoderMirror(
-                self.env, self.testbed, functional=functional,
-                host_pool=self.pool if functional else None,
-                name=self._scoped(f"infer-decoder-{i}"),
-                injector=self.injector, site=f"fpga{i}")
-            device.load_mirror(mirror)
-            self.devices.append(device)
-            self.channels.append(FPGAChannel(
-                self.env, mirror, queue_id=i, injector=self.injector,
-                site=f"fpga{i}", name=self._scoped(f"ch{i}")))
-        # The reader's completion pump would consume FINISH records the
-        # gpu-direct feed needs, so it exists only on the staged path.
-        self.reader = None if gpu_direct else FPGAReader(
-            self.env, self.testbed, self.channels[0], self.pool,
-            self.spec, cpu=self.cpu, channels=self.channels,
-            name=self._scoped("fpga-reader"),
-            injector=self.injector, retry=retry,
-            breaker=self.breaker, quarantine=self.quarantine,
-            heartbeat=(sup.register("fpga-reader")
-                       if sup is not None else None),
-            integrity=sup.integrity if sup is not None else None,
-            shed_deadlines=(sup is not None and sup.sheds_deadlines
-                            and sup.config.shed_at_reader),
-            rtracker=rtracker)
-        if sup is not None and not gpu_direct:
-            sup.watch_channel(self.pool.full_batch_queue)
-            sup.watch_channel(self.pool.free_batch_queue)
-            sup.watch_channel(self.nic.rx_queue)
+            if not gpu_direct:
+                sup.watch_channel(self.nic.rx_queue)
         self._next_cmd = 0
-        self.dispatcher: Optional[Dispatcher] = None
 
     def start(self, engines: Sequence[InferenceEngine]) -> None:
         self._check_start(engines)
@@ -293,25 +234,9 @@ class DLBoosterInferenceBackend(_InferenceBackendBase):
                 self.env.process(self._gpu_direct_feed(engine),
                                  name=f"dlb-direct-{engine.gpu.index}")
         else:
-            sup = self.supervisor
-            self.dispatcher = Dispatcher(
-                self.env, self.testbed, self.pool, engines, cpu=self.cpu,
-                name=self._scoped("dispatcher"),
-                heartbeat=(sup.register("dispatcher") if sup is not None
-                           else None),
-                shed_deadlines=(sup is not None and sup.sheds_deadlines
-                                and sup.config.shed_at_dispatcher),
-                tracer=(self.rtracker.tracer if self.rtracker is not None
-                        else None),
-                rtracker=self.rtracker)
-            self.dispatcher.start()
-            if sup is not None:
-                for i, engine in enumerate(engines):
-                    engine.heartbeat = sup.register(f"engine-{i}")
-                    sup.watch_channel(engine.trans_queues.full)
-                    sup.watch_channel(engine.trans_queues.free)
-                sup.track_stoppable(self.dispatcher)
-                sup.start()
+            self._start_dispatcher(
+                engines, self.rtracker.tracer
+                if self.rtracker is not None else None)
             self.env.process(
                 self.reader.run_stream(self.collector.next_from_net),
                 name="dlbooster-infer-feed")
@@ -398,30 +323,3 @@ class DLBoosterInferenceBackend(_InferenceBackendBase):
         dev_batch.item_count = len(items)
         dev_batch.payload = items
         yield from engine.trans_queues.full.put(dev_batch)
-
-    def conservation_ok(self) -> bool:
-        """Item conservation on the staged path (mirrors the training
-        backend's invariant)::
-
-            accepted == fpga_decoded + cpu_failover + quarantined
-                        + shed_expired + integrity_rejected
-                        + unresolved-slots-of-open-batches
-
-        Trivially true on the gpu-direct path (no reader bookkeeping).
-        """
-        if self.reader is None:
-            return True
-        r = self.reader
-        integrity_rejected = int(r.integrity_rejected.total)
-        quarantined_other = r.quarantine.total - integrity_rejected
-        resolved = (int(r.items_decoded_fpga.total)
-                    + int(r.failover_items.total) + quarantined_other
-                    + integrity_rejected + int(r.shed_expired.total))
-        unresolved = sum(b.filled - b.done for b in r._open.values())
-        return int(r.items_accepted.total) == resolved + unresolved
-
-    def _poll_ticker(self, core_frac: float, category: str,
-                     tick_s: float = 0.01):
-        while True:
-            yield self.env.timeout(tick_s)
-            self.cpu.charge_unaccounted(core_frac * tick_s, category)

@@ -65,9 +65,9 @@ class HostConfig:
     # specs (``decoder_crash`` etc.) arm its decode path — this is how a
     # fleet experiment degrades exactly one server.
     fault_plan: Optional[FaultPlan] = None
-    # Retransmit-table policy for the dlbooster reader; required when a
-    # plan can lose cmds (the reader treats an unarmed deadline miss as
-    # a deadlock regression and raises).
+    # Retransmit-table policy for the dlbooster reader; a plan that can
+    # lose cmds (``cmd_drop``, ``decoder_crash``) is refused without
+    # one, and on the gpu-direct path, which has no retransmit table.
     retry: Optional[RetryPolicy] = None
 
 

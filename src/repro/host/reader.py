@@ -164,25 +164,7 @@ class FPGAReader:
         resulting batches have been pushed to the Full_Batch_Queue."""
         batch: Optional[_OpenBatch] = None
         for item in items:
-            self._trace_ingest(item)
-            if self._shed_if_expired(item):
-                continue
-            self._trace_mark(item, "reader.pool", "wait")
-            if batch is None:
-                if self.heartbeat is not None:
-                    self.heartbeat.waiting(self.pool.free_batch_queue.name)
-                unit = yield from self.pool.get_item()   # may block: line 5-10
-                if self.heartbeat is not None:
-                    self.heartbeat.running()
-                batch = _OpenBatch(unit=unit, tag=self._next_tag,
-                                   opened_at=self.env.now)
-                self._next_tag += 1
-                self._open[batch.tag] = batch
-            yield from self._submit_item(item, batch)     # lines 11-13
-            if batch.filled == self.spec.batch_size:
-                batch.closed = True
-                self._maybe_complete(batch)
-                batch = None
+            batch = yield from self._submit_item(item, batch)
         if batch is not None:  # short tail batch at epoch end
             batch.closed = True
             self._maybe_complete(batch)
@@ -203,27 +185,8 @@ class FPGAReader:
             item = yield from next_item_fn()
             if self.heartbeat is not None:
                 self.heartbeat.running()
-            self._trace_ingest(item)
-            if self._shed_if_expired(item):
-                submitted += 1
-                continue
-            self._trace_mark(item, "reader.pool", "wait")
-            if batch is None:
-                if self.heartbeat is not None:
-                    self.heartbeat.waiting(self.pool.free_batch_queue.name)
-                unit = yield from self.pool.get_item()
-                if self.heartbeat is not None:
-                    self.heartbeat.running()
-                batch = _OpenBatch(unit=unit, tag=self._next_tag,
-                                   opened_at=self.env.now)
-                self._next_tag += 1
-                self._open[batch.tag] = batch
-            yield from self._submit_item(item, batch)
+            batch = yield from self._submit_item(item, batch)
             submitted += 1
-            if batch.filled == self.spec.batch_size:
-                batch.closed = True
-                self._maybe_complete(batch)
-                batch = None
         if batch is not None:
             batch.closed = True
             self._maybe_complete(batch)
@@ -258,9 +221,25 @@ class FPGAReader:
         if trace is not None and not trace.is_finished:
             trace.mark(stage, kind)
 
-    def _submit_item(self, item: WorkItem, batch: _OpenBatch):
-        """Generator: route one item — FPGA cmd, or CPU pool while the
-        circuit breaker holds the FPGA path open."""
+    def _submit_item(self, item: WorkItem, batch: Optional[_OpenBatch]):
+        """Generator: shed ``item``, or give it a slot in ``batch`` (a
+        fresh pool unit when None) and route it — FPGA cmd, or CPU pool
+        while the circuit breaker holds the FPGA path open.  Returns the
+        batch still open afterwards."""
+        self._trace_ingest(item)
+        if self._shed_if_expired(item):
+            return batch
+        self._trace_mark(item, "reader.pool", "wait")
+        if batch is None:
+            if self.heartbeat is not None:
+                self.heartbeat.waiting(self.pool.free_batch_queue.name)
+            unit = yield from self.pool.get_item()   # may block: line 5-10
+            if self.heartbeat is not None:
+                self.heartbeat.running()
+            batch = _OpenBatch(unit=unit, tag=self._next_tag,
+                               opened_at=self.env.now)
+            self._next_tag += 1
+            self._open[batch.tag] = batch
         slot = batch.filled
         batch.filled += 1
         batch.items.append(item)
@@ -281,20 +260,26 @@ class FPGAReader:
                                submitted_at=self.env.now)
             self.env.process(self._cpu_fallback(pend),
                              name=f"{self.name}.failover{cmd.cmd_id}")
-            return
-        if self.injector is not None:
-            self.injector.maybe_poison_cmd(cmd, site=self.name)
-            self.injector.maybe_bitflip_cmd(cmd, site=self.name)
-        ch = self.channels[self._rr % len(self.channels)]
-        self._rr += 1
-        yield from ch.submit_cmd(cmd)                     # line 13
-        self.items_submitted.add()
-        policy = self.retry if self.retry is not None else _DEFAULT_POLICY
-        self._register(_PendingCmd(
-            cmd=cmd, batch=batch, slot=slot, item=item, attempts=0,
-            deadline_at=self.env.now + policy.deadline_for(
-                self._deadline_estimate(cmd), 0),
-            submitted_at=self.env.now))
+        else:
+            if self.injector is not None:
+                self.injector.maybe_poison_cmd(cmd, site=self.name)
+                self.injector.maybe_bitflip_cmd(cmd, site=self.name)
+            ch = self.channels[self._rr % len(self.channels)]
+            self._rr += 1
+            yield from ch.submit_cmd(cmd)                     # line 13
+            self.items_submitted.add()
+            policy = self.retry if self.retry is not None \
+                else _DEFAULT_POLICY
+            self._register(_PendingCmd(
+                cmd=cmd, batch=batch, slot=slot, item=item, attempts=0,
+                deadline_at=self.env.now + policy.deadline_for(
+                    self._deadline_estimate(cmd), 0),
+                submitted_at=self.env.now))
+        if batch.filled < self.spec.batch_size:
+            return batch
+        batch.closed = True
+        self._maybe_complete(batch)
+        return None
 
     def _cmd_generator(self, item: WorkItem, batch: _OpenBatch,
                        slot: int) -> DecodeCmd:

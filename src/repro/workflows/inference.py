@@ -208,8 +208,7 @@ def _run_inference(cfg: InferenceConfig, testbed: Testbed,
         extras["retransmitted_packets"] = int(
             link.retransmitted_packets.total)
     if cfg.backend == "dlbooster":
-        extras["decoder_utilizations"] = [
-            d.mirror.stage_utilizations() for d in backend.devices]
+        extras["decoder_utilizations"] = backend.decoder_utilizations()
     if health is not None:
         extras["health"] = health.deltas()
         extras["stall_reports"] = [

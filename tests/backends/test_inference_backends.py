@@ -7,9 +7,11 @@ from repro.backends import (CpuInferenceBackend, DLBoosterInferenceBackend,
 from repro.calib import DEFAULT_TESTBED, INFER_MODELS
 from repro.data import jpeg_size_sampler
 from repro.engines import CpuCorePool, GpuDevice, InferenceEngine
+from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.host import BatchSpec
 from repro.net import ClientFleet, Link, Nic
 from repro.sim import Environment, SeedBank
+from repro.workflows import InferenceConfig, run_inference
 
 
 def build_rig(batch_size=8, gpus=1):
@@ -146,6 +148,29 @@ def test_gpu_direct_throughput_matches_staged():
         env.run(until=2.5)
         results[direct] = engines[0].predictions.total
     assert results[True] >= 0.95 * results[False]
+
+
+def test_dlbooster_inference_refuses_cmd_drop_without_retry():
+    """``InferenceConfig`` has no retry field, so a cmd-dropping plan
+    would die at its first missed deadline; it is refused up front."""
+    cfg = InferenceConfig(
+        model="googlenet", backend="dlbooster", batch_size=8,
+        warmup_s=0.1, measure_s=0.3,
+        fault_plan=FaultPlan.of(FaultPlan.cmd_drop(0.02)))
+    with pytest.raises(ValueError, match="RetryPolicy"):
+        run_inference(cfg)
+
+
+def test_gpu_direct_refuses_cmd_drop_even_with_retry():
+    """The gpu-direct feed has no retransmit table: dropped cmds would
+    leave their device batches open forever and serve nothing."""
+    env, tb, cpu, bspec, nic, fleet, engines = build_rig(batch_size=16)
+    injector = FaultInjector(env, FaultPlan.of(FaultPlan.cmd_drop(0.02)),
+                             seeds=SeedBank(0))
+    with pytest.raises(ValueError, match="gpu-direct"):
+        DLBoosterInferenceBackend(env, tb, cpu, nic, bspec,
+                                  gpu_direct=True, injector=injector,
+                                  retry=RetryPolicy())
 
 
 def test_rx_overflow_recovery_under_tiny_ring():

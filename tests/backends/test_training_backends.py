@@ -10,9 +10,11 @@ from repro.backends import (CpuOnlineBackend, DatasetCache, DLBoosterBackend,
 from repro.calib import DEFAULT_TESTBED, TRAIN_MODELS
 from repro.data import imagenet_like_manifest, mnist_like_manifest
 from repro.engines import CpuCorePool, GpuDevice, SyncGroup, TrainingSolver
+from repro.faults import FaultPlan
 from repro.host import BatchSpec
 from repro.sim import Environment, SeedBank
 from repro.storage import FileManifest
+from repro.workflows import TrainingConfig, run_training
 
 
 def build_rig(model="alexnet", gpus=1, dataset=2000):
@@ -174,6 +176,22 @@ def test_dlbooster_validation():
     with pytest.raises(ValueError):
         DLBoosterBackend(env, DEFAULT_TESTBED, cpu, manifest, bspec,
                          SeedBank(0), num_fpgas=0)
+
+
+def test_dlbooster_refuses_lossy_plan_without_retry():
+    """A decoder outage loses cmds that only a RetryPolicy resubmits;
+    unarmed, the run would die at its first missed deadline."""
+    cfg = TrainingConfig(
+        model="alexnet", backend="dlbooster", dataset_size=2000,
+        warmup_s=0.1, measure_s=0.3,
+        fault_plan=FaultPlan.of(FaultPlan.decoder_crash(0.1, 0.2)))
+    with pytest.raises(ValueError, match="RetryPolicy"):
+        run_training(cfg)
+    # A spec aimed at an FPGA the pipeline does not have loses nothing.
+    env, cpu, bspec, manifest, solvers = build_rig()
+    DLBoosterBackend(env, DEFAULT_TESTBED, cpu, manifest, bspec,
+                     SeedBank(0), fault_plan=FaultPlan.of(
+                         FaultPlan.cmd_drop(1.0, site="fpga1")))
 
 
 def test_dlbooster_multiple_fpgas_split_load():
