@@ -11,7 +11,6 @@ decoder bound past batch 16 on GoogLeNet.
 from __future__ import annotations
 
 from ..calib import INFER_MODELS
-from ..workflows import InferenceConfig, run_inference
 from .report import Report, timed
 
 __all__ = ["run", "batch_sweep"]
@@ -33,11 +32,12 @@ def run(quick: bool = False, models=("googlenet", "vgg16", "resnet50"),
         parallel: int = 1) -> Report:
     """Reproduce Fig. 7: inference throughput over the batch sweep.
 
-    ``parallel > 1`` fans the (model, backend, batch) grid out to that
-    many worker processes via :mod:`repro.sweep`; each point is an
-    independent simulation, and results are reassembled in the serial
-    loop order, so the report is identical to a serial run.
+    The (model, backend, batch) grid runs through :mod:`repro.sweep`:
+    in order at ``parallel=1``, fanned out to that many worker processes
+    above it.  Each point is an independent simulation and results are
+    reassembled in grid order, so the report is the same either way.
     """
+    from ..sweep import SweepPoint, run_sweep
     warmup, measure = (0.8, 2.5) if quick else (1.0, 5.0)
     report = Report(
         experiment_id="fig7",
@@ -49,23 +49,14 @@ def run(quick: bool = False, models=("googlenet", "vgg16", "resnet50"),
             for model in models
             for backend in BACKENDS
             for bs in batch_sweep(model, quick)]
-    if parallel > 1:
-        from ..sweep import SweepPoint, run_sweep
-        points = [SweepPoint(
-            runner="fig7_infer",
-            config={"model": m, "backend": b, "batch_size": bs,
-                    "warmup_s": warmup, "measure_s": measure,
-                    "telemetry": False},
-            label=f"{m}/{b}/bs{bs}") for m, b, bs in grid]
-        outcome = run_sweep(points, parallel=parallel)
-        throughputs = [res["values"]["throughput"]
-                       for res in outcome.results]
-    else:
-        throughputs = [
-            run_inference(InferenceConfig(
-                model=m, backend=b, batch_size=bs,
-                warmup_s=warmup, measure_s=measure)).throughput
-            for m, b, bs in grid]
+    points = [SweepPoint(
+        runner="fig7_infer",
+        config={"model": m, "backend": b, "batch_size": bs,
+                "warmup_s": warmup, "measure_s": measure,
+                "telemetry": False},
+        label=f"{m}/{b}/bs{bs}") for m, b, bs in grid]
+    outcome = run_sweep(points, parallel=parallel)
+    throughputs = [res["values"]["throughput"] for res in outcome.results]
 
     perf: dict[tuple, float] = {}
     for (model, backend, bs), throughput in zip(grid, throughputs):
