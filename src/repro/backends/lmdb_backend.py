@@ -10,10 +10,9 @@ used" that costs 30% at 2 GPUs in Figs. 2/5(b).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..sim import Counter, Resource
-from ..storage import KVStore
 from .base import TrainingBackend, epoch_stream
 
 __all__ = ["LmdbBackend", "ingest_manifest"]
@@ -36,19 +35,15 @@ class LmdbBackend(TrainingBackend):
 
     name = "lmdb"
 
-    def __init__(self, *args, store: Optional[KVStore] = None,
-                 store_hw: Optional[tuple[int, int]] = None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # Stored datum geometry: Caffe's ImageNet recipe stores 256x256
         # raw; MNIST stores the native 28x28.
-        if store_hw is None:
-            big = max(self.spec.out_h, self.spec.out_w) > 64
-            store_hw = (256, 256) if big else (self.spec.out_h,
-                                               self.spec.out_w)
-        self.store_hw = store_hw
-        self.record_bytes = (store_hw[0] * store_hw[1] * self.spec.channels
+        big = max(self.spec.out_h, self.spec.out_w) > 64
+        store_h, store_w = (256, 256) if big else (self.spec.out_h,
+                                                   self.spec.out_w)
+        self.record_bytes = (store_h * store_w * self.spec.channels
                              + RECORD_HEADER_BYTES)
-        self.store = store  # real KVStore in functional runs (optional)
         # One shared environment: reads serialize here.
         self._environment = Resource(self.env, capacity=1, name="lmdb-env")
         self.records_read = Counter(self.env, name="lmdb.reads")
