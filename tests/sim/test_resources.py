@@ -211,8 +211,6 @@ def test_reentrant_direct_waiter_is_served_without_recursion():
     seen = []
 
     class Echo:
-        filter = None
-
         def succeed(self, item):
             seen.append(item)
             if item < 300:
