@@ -44,7 +44,7 @@ def main() -> None:
 
     collector = DataCollector(env)
     collector.load_from_disk(manifest)
-    reader = FPGAReader(env, testbed, FPGAChannel(env, mirror), pool, spec)
+    reader = FPGAReader(env, testbed, [FPGAChannel(env, mirror)], pool, spec)
 
     def feed(env):
         yield from reader.run_epoch(collector.disk_epoch())

@@ -121,8 +121,8 @@ class _DLBoosterPlane:
         if gpu_direct:
             return
         self.reader = FPGAReader(
-            env, testbed, self.channels[0], self.pool, self.spec,
-            cpu=self.cpu, channels=self.channels,
+            env, testbed, self.channels, self.pool, self.spec,
+            cpu=self.cpu,
             name=self._scoped("fpga-reader"), injector=injector,
             retry=retry, breaker=self.breaker, quarantine=self.quarantine,
             tracer=tracer,

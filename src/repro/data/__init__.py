@@ -3,11 +3,7 @@
 from .datasets import (functional_jpeg_manifest, imagenet_like_manifest,
                        jpeg_size_sampler, mnist_like_manifest,
                        synthetic_photo)
-from .transform import (IMAGENET_MEAN, TransformSpec, apply_transform,
-                        mean_subtract, random_crop, random_mirror, to_chw)
 
 __all__ = ["imagenet_like_manifest", "mnist_like_manifest",
            "functional_jpeg_manifest", "synthetic_photo",
-           "jpeg_size_sampler", "TransformSpec", "apply_transform",
-           "random_crop", "random_mirror", "mean_subtract", "to_chw",
-           "IMAGENET_MEAN"]
+           "jpeg_size_sampler"]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ..calib import Testbed
 from ..engines.cpu import CpuCorePool
@@ -100,9 +100,8 @@ class FPGAReader:
     """
 
     def __init__(self, env: Environment, testbed: Testbed,
-                 channel: FPGAChannel, pool: MemManager, spec: BatchSpec,
-                 cpu: Optional[CpuCorePool] = None,
-                 channels: Optional[list[FPGAChannel]] = None,
+                 channels: Sequence[FPGAChannel], pool: MemManager,
+                 spec: BatchSpec, cpu: Optional[CpuCorePool] = None,
                  name: str = "fpga-reader",
                  injector=None,
                  retry: Optional[RetryPolicy] = None,
@@ -117,13 +116,17 @@ class FPGAReader:
         self.testbed = testbed
         # Multiple decoders may be attached ("plugging more FPGA
         # devices", S5.3); cmds round-robin across their channels.
-        self.channels = channels if channels else [channel]
+        self.channels = list(channels)
+        if not self.channels:
+            raise ValueError(f"{name}: needs at least one FPGA channel")
         self.pool = pool
         self.spec = spec
         self.cpu = cpu
         self.name = name
         self.injector = injector
         self.retry = retry
+        self._deadline_policy = retry if retry is not None \
+            else _DEFAULT_POLICY
         self.breaker = breaker
         self.quarantine = quarantine if quarantine is not None \
             else QuarantineLog(env, name=f"{name}.quarantine")
@@ -268,11 +271,9 @@ class FPGAReader:
             self._rr += 1
             yield from ch.submit_cmd(cmd)                     # line 13
             self.items_submitted.add()
-            policy = self.retry if self.retry is not None \
-                else _DEFAULT_POLICY
             self._register(_PendingCmd(
                 cmd=cmd, batch=batch, slot=slot, item=item, attempts=0,
-                deadline_at=self.env.now + policy.deadline_for(
+                deadline_at=self.env.now + self._deadline_policy.deadline_for(
                     self._deadline_estimate(cmd), 0),
                 submitted_at=self.env.now))
         if batch.filled < self.spec.batch_size:
@@ -393,11 +394,10 @@ class FPGAReader:
         ch = self.channels[self._rr % len(self.channels)]
         self._rr += 1
         yield from ch.submit_cmd(cmd)
-        policy = self.retry if self.retry is not None else _DEFAULT_POLICY
         self._register(_PendingCmd(
             cmd=cmd, batch=pend.batch, slot=pend.slot, item=pend.item,
             attempts=attempts,
-            deadline_at=self.env.now + policy.deadline_for(
+            deadline_at=self.env.now + self.retry.deadline_for(
                 self._deadline_estimate(cmd), attempts),
             submitted_at=pend.submitted_at))
 

@@ -18,11 +18,9 @@ from .huffman import (STD_AC_CHROMA, STD_AC_LUMA, STD_DC_CHROMA, STD_DC_LUMA,
                       HuffmanTable, build_table_from_freqs)
 from .jfif import (FrameHeader, JpegFormatError, Marker, ParsedJpeg,
                    parse_jpeg)
-from .parallel import (entropy_decode_parallel, entropy_decode_segments,
-                       find_restart_segments)
 from .quant import (STD_CHROMA_QTABLE, STD_LUMA_QTABLE, scale_qtable,
                     zigzag_flatten, zigzag_unflatten)
-from .resize import center_crop, resize_bilinear, resize_nearest
+from .resize import resize_bilinear
 
 __all__ = [
     "encode", "decode", "decode_resized", "parse_jpeg", "entropy_decode",
@@ -34,10 +32,8 @@ __all__ = [
     "zigzag_flatten", "zigzag_unflatten",
     "fdct2", "idct2", "idct2_dequant",
     "rgb_to_ycbcr", "ycbcr_to_rgb", "subsample_420", "upsample_420",
-    "resize_bilinear", "resize_nearest", "center_crop",
+    "resize_bilinear",
     "FrameHeader", "ParsedJpeg", "Marker", "JpegFormatError",
     "JpegDecodeError", "TruncatedStreamError", "BadMarkerError",
     "BadHuffmanCodeError",
-    "entropy_decode_parallel", "entropy_decode_segments",
-    "find_restart_segments",
 ]

@@ -1,14 +1,14 @@
 """Image resizing — the post-decode stage the FPGA resizer unit performs.
 
-Bilinear (default, matches the paper's "resizing unit") and nearest
-neighbour, vectorised with precomputed gather indices/weights.
+Bilinear, matching the paper's "resizing unit", vectorised with
+precomputed gather indices/weights.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["resize_bilinear", "resize_nearest", "center_crop"]
+__all__ = ["resize_bilinear"]
 
 
 def _axis_weights(src: int, dst: int) -> tuple[np.ndarray, np.ndarray,
@@ -56,26 +56,3 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         return np.clip(np.round(out), 0, 255).astype(np.uint8)
     return out
 
-
-def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbour resize (cheap path, used by the 'modeled' mode)."""
-    img = np.asarray(img)
-    if img.ndim not in (2, 3):
-        raise ValueError(f"expected 2-D or 3-D image, got {img.shape}")
-    src_h, src_w = img.shape[:2]
-    ys = np.minimum(((np.arange(out_h) + 0.5) * src_h / out_h).astype(np.intp),
-                    src_h - 1)
-    xs = np.minimum(((np.arange(out_w) + 0.5) * src_w / out_w).astype(np.intp),
-                    src_w - 1)
-    return img[np.ix_(ys, xs)]
-
-
-def center_crop(img: np.ndarray, crop_h: int, crop_w: int) -> np.ndarray:
-    """Central crop — the augmentation step left on the GPU side (S3.1)."""
-    img = np.asarray(img)
-    h, w = img.shape[:2]
-    if crop_h > h or crop_w > w:
-        raise ValueError(f"crop {crop_h}x{crop_w} exceeds image {h}x{w}")
-    y0 = (h - crop_h) // 2
-    x0 = (w - crop_w) // 2
-    return img[y0:y0 + crop_h, x0:x0 + crop_w]

@@ -45,7 +45,6 @@ from ..jpeg import bitstream as _bitstream
 from ..jpeg import decoder as _decoder
 from ..jpeg import dct as _dct
 from ..jpeg import huffman as _huffman
-from ..jpeg import parallel as _parallel
 from ..jpeg import resize as _resize
 from ..jpeg.bitstream import BitReader, EndOfScan
 from ..jpeg.color import upsample_420, ycbcr_to_rgb
@@ -470,7 +469,6 @@ _PATCHES: list[tuple[Any, str, Any]] = [
     (HuffmanTable, "decode", _decode_bitwise),
     (_huffman, "decode_block", decode_block_ref),
     (_decoder, "decode_block", decode_block_ref),
-    (_parallel, "decode_block", decode_block_ref),
     (_decoder, "entropy_decode", entropy_decode_ref),
     (_dct, "idct2_dequant", idct2_dequant_ref),
     (_decoder, "idct2_dequant", idct2_dequant_ref),

@@ -1,17 +1,8 @@
-"""Storage substrates: NVMe timing model, dataset manifests, an
-LMDB-like KV store and a RecordIO format."""
+"""Storage substrates: the NVMe timing model and the dataset file
+manifest (block extents the DataCollector reads)."""
 
-from .kvstore import KVError, KVStore, ReadTransaction, WriteTransaction
 from .manifest import BLOCK_SIZE, BlockExtent, FileEntry, FileManifest
 from .nvme import NvmeDisk, NvmeReadError
-from .recordio import (IndexedRecordFile, RecordFormatError, RecordReader,
-                       RecordWriter)
-from .tfrecord import (TFRecordError, TFRecordReader, TFRecordWriter,
-                       crc32c, masked_crc)
 
-__all__ = ["NvmeDisk", "NvmeReadError", "FileManifest", "FileEntry", "BlockExtent",
-           "BLOCK_SIZE", "KVStore", "KVError", "ReadTransaction",
-           "WriteTransaction", "RecordWriter", "RecordReader",
-           "IndexedRecordFile", "RecordFormatError",
-           "TFRecordWriter", "TFRecordReader", "TFRecordError",
-           "crc32c", "masked_crc"]
+__all__ = ["NvmeDisk", "NvmeReadError", "FileManifest", "FileEntry",
+           "BlockExtent", "BLOCK_SIZE"]

@@ -68,6 +68,14 @@ def main(argv=None) -> int:
                         help="write the repro-perf/1 timing payload here")
     args = parser.parse_args(argv)
 
+    if args.parallel < 1:
+        parser.error(f"--parallel must be >= 1, got {args.parallel}")
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    for flag in ("models", "backends", "batches"):
+        if not getattr(args, flag):
+            parser.error(f"--{flag} must name at least one value")
+
     if args.profile is not None:
         # Fail on an unwritable dir before burning sweep minutes.
         try:

@@ -24,8 +24,7 @@ def build(batch_size=4, unit_count=4, num_channels=1):
         mirror = ImageDecoderMirror(env, DEFAULT_TESTBED, name=f"m{i}")
         device.load_mirror(mirror)
         channels.append(FPGAChannel(env, mirror, queue_id=i))
-    reader = FPGAReader(env, DEFAULT_TESTBED, channels[0], pool, spec,
-                        cpu=cpu, channels=channels)
+    reader = FPGAReader(env, DEFAULT_TESTBED, channels, pool, spec, cpu=cpu)
     return env, cpu, spec, pool, channels, reader
 
 
@@ -131,6 +130,15 @@ def test_reader_recycle_shuts_channels():
     assert not reader.running
     with pytest.raises(RuntimeError):
         channels[0].drain_out()
+
+
+def test_reader_requires_channels():
+    env = Environment()
+    spec = BatchSpec(batch_size=4, out_h=32, out_w=32, channels=3)
+    pool = MemManager(env, unit_size=spec.batch_bytes, unit_count=1,
+                      allocate_arena=False)
+    with pytest.raises(ValueError):
+        FPGAReader(env, DEFAULT_TESTBED, [], pool, spec)
 
 
 # ------------------------------------------------------------ dispatcher

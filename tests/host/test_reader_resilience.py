@@ -26,7 +26,7 @@ def build(plan=None, retry=None, breaker=None, batch_size=4, unit_count=4,
                                 site="fpga0")
     device.load_mirror(mirror)
     channel = FPGAChannel(env, mirror, injector=injector, site="fpga0")
-    reader = FPGAReader(env, DEFAULT_TESTBED, channel, pool, spec, cpu=cpu,
+    reader = FPGAReader(env, DEFAULT_TESTBED, [channel], pool, spec, cpu=cpu,
                         injector=injector, retry=retry, breaker=breaker)
     return env, pool, channel, reader
 

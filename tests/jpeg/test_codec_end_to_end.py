@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jpeg import (JpegFormatError, center_crop, coefficients_to_planes,
-                        decode, decode_resized, encode, entropy_decode,
-                        parse_jpeg, planes_to_image, resize_bilinear,
-                        resize_nearest)
+from repro.data import synthetic_photo
+from repro.jpeg import (JpegFormatError, TruncatedStreamError,
+                        coefficients_to_planes, decode, decode_resized,
+                        encode, entropy_decode, parse_jpeg, planes_to_image,
+                        resize_bilinear)
 
 
 def make_test_image(h, w, seed=0):
@@ -78,6 +79,27 @@ def test_restart_interval_roundtrip():
     rst = decode(encode(img, quality=75, subsampling="4:2:0",
                         restart_interval=2))
     np.testing.assert_array_equal(plain, rst)
+
+
+@pytest.mark.parametrize("gray", [False, True], ids=["420", "gray"])
+@pytest.mark.parametrize("restart_interval", [1, 3, 4, 7])
+def test_restart_segments_decode_sequentially(gray, restart_interval):
+    img = synthetic_photo(np.random.default_rng(restart_interval), 64, 80,
+                          gray=gray)
+    subsampling = "4:4:4" if gray else "4:2:0"
+    data = encode(img, subsampling=subsampling,
+                  restart_interval=restart_interval)
+    np.testing.assert_array_equal(
+        decode(data), decode(encode(img, subsampling=subsampling)))
+    # Cut the second restart segment down to its first two bytes: the
+    # decode must fail in that segment's first MCU, not resync on RST1.
+    start = parse_jpeg(data).scan_offset
+    rst = [i for i in range(start, len(data) - 1)
+           if data[i] == 0xFF and 0xD0 <= data[i + 1] <= 0xD7]
+    assert rst[1] - rst[0] > 4, "second segment too short to cut"
+    with pytest.raises(TruncatedStreamError,
+                       match=f"in MCU {restart_interval}:"):
+        decode(data[:rst[0] + 4] + data[rst[1]:])
 
 
 def test_restart_interval_many_segments():
@@ -193,28 +215,11 @@ def test_resize_downscale_averages():
     assert out[0, 0] < out[0, 1]
 
 
-def test_resize_nearest_exact_upscale():
-    img = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-    out = resize_nearest(img, 4, 4)
-    np.testing.assert_array_equal(out, [[1, 1, 2, 2], [1, 1, 2, 2],
-                                        [3, 3, 4, 4], [3, 3, 4, 4]])
-
-
 def test_resize_validation():
     with pytest.raises(ValueError):
         resize_bilinear(np.zeros((4,)), 2, 2)
     with pytest.raises(ValueError):
         resize_bilinear(np.zeros((4, 4)), 0, 2)
-    with pytest.raises(ValueError):
-        resize_nearest(np.zeros(4), 2, 2)
-
-
-def test_center_crop():
-    img = make_test_image(10, 12, seed=14)
-    out = center_crop(img, 4, 6)
-    np.testing.assert_array_equal(out, img[3:7, 3:9])
-    with pytest.raises(ValueError):
-        center_crop(img, 11, 4)
 
 
 # ------------------------------------------------------------- properties

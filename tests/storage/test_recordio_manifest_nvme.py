@@ -1,82 +1,11 @@
-"""Tests for RecordIO, file manifests and the NVMe timing model."""
+"""Tests for file manifests and the NVMe timing model."""
 
 import numpy as np
 import pytest
 
 from repro.calib import DEFAULT_TESTBED
 from repro.sim import Environment
-from repro.storage import (BLOCK_SIZE, FileManifest, IndexedRecordFile,
-                           NvmeDisk, RecordFormatError, RecordReader,
-                           RecordWriter)
-
-
-# ---------------------------------------------------------------- recordio
-def test_recordio_roundtrip(tmp_path):
-    path = str(tmp_path / "data.rec")
-    payloads = [b"alpha", b"", b"x" * 1000, bytes(range(256))]
-    with RecordWriter(path) as w:
-        for p in payloads:
-            w.write(p)
-    with RecordReader(path) as r:
-        assert [p for _, p in r] == payloads
-
-
-def test_recordio_flags(tmp_path):
-    path = str(tmp_path / "data.rec")
-    with RecordWriter(path) as w:
-        w.write(b"a", flags=3)
-    with RecordReader(path) as r:
-        assert next(iter(r)) == (3, b"a")
-
-
-def test_recordio_flag_validation(tmp_path):
-    with RecordWriter(str(tmp_path / "d.rec")) as w:
-        with pytest.raises(ValueError):
-            w.write(b"a", flags=8)
-        with pytest.raises(TypeError):
-            w.write("str")
-
-
-def test_recordio_resync_past_corruption(tmp_path):
-    path = str(tmp_path / "data.rec")
-    with RecordWriter(path) as w:
-        offs = [w.write(f"rec{i}".encode() * 10) for i in range(3)]
-    raw = bytearray(open(path, "rb").read())
-    raw[offs[1] + 14] ^= 0xFF  # corrupt the middle record's payload
-    open(path, "wb").write(bytes(raw))
-    with RecordReader(path) as r:
-        got = [p for _, p in r]
-    assert got[0] == b"rec0" * 10
-    assert got[-1] == b"rec2" * 10
-    assert b"rec1" * 10 not in got
-
-
-def test_recordio_bad_header(tmp_path):
-    path = str(tmp_path / "bad.rec")
-    open(path, "wb").write(b"NOPE")
-    with pytest.raises(RecordFormatError):
-        RecordReader(path)
-
-
-def test_recordio_torn_tail(tmp_path):
-    path = str(tmp_path / "data.rec")
-    with RecordWriter(path) as w:
-        w.write(b"complete")
-    with open(path, "ab") as fh:
-        fh.write(b"\x72\x2e\x78\x6d\xff\xff")  # half a header
-    with RecordReader(path) as r:
-        assert [p for _, p in r] == [b"complete"]
-
-
-def test_indexed_recordfile_random_access(tmp_path):
-    path = str(tmp_path / "idx.rec")
-    payloads = [f"payload-{i}".encode() for i in range(10)]
-    f = IndexedRecordFile.build(path, payloads)
-    assert len(f) == 10
-    assert f.read(7) == b"payload-7"
-    assert f.read(0) == b"payload-0"
-    with pytest.raises(IndexError):
-        f.read(10)
+from repro.storage import BLOCK_SIZE, FileManifest, NvmeDisk
 
 
 # ---------------------------------------------------------------- manifest
