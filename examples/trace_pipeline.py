@@ -10,6 +10,7 @@ saturated, the 2 resizer lanes trailing.
 Run:  python examples/trace_pipeline.py [output.json]
 """
 
+import os
 import sys
 
 from repro.calib import DEFAULT_TESTBED
@@ -17,8 +18,16 @@ from repro.fpga import DecodeCmd, FpgaDevice, FPGAChannel, ImageDecoderMirror
 from repro.sim import Environment, Tracer
 
 
-def main() -> None:
+def main() -> int:
     out_path = sys.argv[1] if len(sys.argv) > 1 else "decoder_trace.json"
+    # Fail on an unwritable output directory before simulating.
+    out_dir = os.path.dirname(out_path)
+    try:
+        os.makedirs(out_dir or ".", exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out_dir!r}: {exc}",
+              file=sys.stderr)
+        return 2
     env = Environment()
     tracer = Tracer(env)
 
@@ -59,7 +68,8 @@ def main() -> None:
     for track in sorted(tracer.tracks()):
         busy = tracer.busy_time(track) / env.now
         print(f"  {track:24s} {100 * busy:5.1f}% busy")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,7 +14,6 @@ stand-ins:
 
 from __future__ import annotations
 
-from array import array
 from typing import Optional
 
 import numpy as np
@@ -29,6 +28,8 @@ __all__ = ["imagenet_like_manifest", "mnist_like_manifest",
 # Mean encoded size of a 500x375 web-quality color JPEG (~0.58 bpp).
 IMAGENET_MEAN_BYTES = 110_000
 IMAGENET_SIGMA = 0.35
+IMAGENET_HEIGHT, IMAGENET_WIDTH = 375, 500
+IMAGENET_CLASSES = 1000
 MNIST_BYTES = 700  # one IDX-style record + framing
 MIN_JPEG_BYTES = 2048  # headers + tables: the floor of any sampled size
 
@@ -48,25 +49,20 @@ def jpeg_size_sampler(mean_bytes: float = IMAGENET_MEAN_BYTES,
     return sample
 
 
-def imagenet_like_manifest(n: int, seeds: Optional[SeedBank] = None,
-                           hw: tuple[int, int] = (375, 500),
-                           num_classes: int = 1000) -> FileManifest:
+def imagenet_like_manifest(n: int,
+                           seeds: Optional[SeedBank] = None) -> FileManifest:
     """ILSVRC12-shaped corpus: color JPEGs, lognormal sizes, 1000 labels."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = (seeds or SeedBank()).stream("imagenet-sizes")
-    # The draws interleave per file (size, then label), exactly as the
-    # add() loop with jpeg_size_sampler() would take them.
-    mu = np.log(IMAGENET_MEAN_BYTES)
-    lognormal, integers = rng.lognormal, rng.integers
-    sizes, labels = array("q"), array("q")
-    add_size, add_label = sizes.append, labels.append
-    for _ in range(n):
-        add_size(max(MIN_JPEG_BYTES, int(lognormal(mu, IMAGENET_SIGMA))))
-        add_label(int(integers(num_classes)))
+    # The same values as n jpeg_size_sampler() draws, then n scalar
+    # integers(IMAGENET_CLASSES) draws, on this one stream.
+    sizes = rng.lognormal(np.log(IMAGENET_MEAN_BYTES), IMAGENET_SIGMA, n)
+    sizes = np.maximum(sizes.astype(np.int64), MIN_JPEG_BYTES)
+    labels = rng.integers(IMAGENET_CLASSES, size=n)
     return FileManifest.from_columns(
-        "img_{:08d}.jpg", sizes, labels, height=hw[0], width=hw[1],
-        channels=3, name="ilsvrc12-like")
+        "img_{:08d}.jpg", sizes, labels, height=IMAGENET_HEIGHT,
+        width=IMAGENET_WIDTH, channels=3, name="ilsvrc12-like")
 
 
 def mnist_like_manifest(n: int = 60_000,
@@ -75,11 +71,10 @@ def mnist_like_manifest(n: int = 60_000,
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = (seeds or SeedBank()).stream("mnist-labels")
-    integers = rng.integers
-    labels = [int(integers(10)) for _ in range(n)]
     return FileManifest.from_columns(
-        "digit_{:06d}", np.full(n, MNIST_BYTES, dtype=np.int64), labels,
-        height=28, width=28, channels=1, name="mnist-like")
+        "digit_{:06d}", np.full(n, MNIST_BYTES, dtype=np.int64),
+        rng.integers(10, size=n), height=28, width=28, channels=1,
+        name="mnist-like")
 
 
 def synthetic_photo(rng: np.random.Generator, h: int, w: int,

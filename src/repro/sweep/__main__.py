@@ -20,7 +20,10 @@ import json
 import os
 import sys
 
+from ..calib import INFER_MODELS
 from ..perf.harness import merge_payloads, write_payload
+from ..workflows import INFERENCE_BACKENDS
+from ..workflows.metrics import check_windows
 from .points import fig7_points
 from .runner import run_sweep
 
@@ -75,6 +78,18 @@ def main(argv=None) -> int:
     for flag in ("models", "backends", "batches"):
         if not getattr(args, flag):
             parser.error(f"--{flag} must name at least one value")
+    for flag, known in (("models", INFER_MODELS),
+                        ("backends", INFERENCE_BACKENDS)):
+        unknown = [v for v in getattr(args, flag) if v not in known]
+        if unknown:
+            parser.error(f"--{flag}: unknown {unknown}, choose from "
+                         f"{sorted(known)}")
+    if min(args.batches) < 1:
+        parser.error(f"--batches must all be >= 1, got {args.batches}")
+    try:
+        check_windows(args.warmup_s, args.measure_s)
+    except ValueError as exc:
+        parser.error(f"--warmup-s/--measure-s: {exc}")
 
     if args.profile is not None:
         # Fail on an unwritable dir before burning sweep minutes.

