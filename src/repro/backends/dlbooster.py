@@ -128,8 +128,7 @@ class _DLBoosterPlane:
             tracer=tracer,
             heartbeat=sup.register("fpga-reader") if sup is not None else None,
             integrity=sup.integrity if sup is not None else None,
-            shed_deadlines=(sup is not None and sup.sheds_deadlines
-                            and sup.config.shed_at_reader),
+            shed_deadlines=sup is not None and sup.sheds_deadlines,
             rtracker=rtracker)
         if sup is not None:
             sup.watch_channel(self.pool.full_batch_queue)
@@ -144,8 +143,7 @@ class _DLBoosterPlane:
             name=self._scoped("dispatcher"),
             heartbeat=(sup.register("dispatcher") if sup is not None
                        else None),
-            shed_deadlines=(sup is not None and sup.sheds_deadlines
-                            and sup.config.shed_at_dispatcher),
+            shed_deadlines=sup is not None and sup.sheds_deadlines,
             tracer=tracer, rtracker=self.rtracker)
         self.dispatcher.start()
         if sup is not None:
@@ -153,7 +151,6 @@ class _DLBoosterPlane:
                 consumer.heartbeat = sup.register(self._CONSUMER.format(i))
                 sup.watch_channel(consumer.trans_queues.full)
                 sup.watch_channel(consumer.trans_queues.free)
-            sup.track_stoppable(self.dispatcher)
             sup.start()
 
     def _poll_ticker(self, core_frac: float, category: str,

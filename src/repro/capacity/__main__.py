@@ -11,7 +11,8 @@ SLO verdicts, burn-rate alert timeline, recommended K with headroom —
 is printed and written as a deterministic markdown + JSON dashboard.
 
 Exit codes: 0 = a feasible K was found, 1 = no K in range meets the
-objectives, 2 = an output directory or file could not be written.
+objectives, 2 = a bad argument (rejected before anything is simulated)
+or an output directory or file that could not be written.
 """
 
 from __future__ import annotations
@@ -60,6 +61,23 @@ def main(argv=None) -> int:
     if args.parallel < 1:
         parser.error(f"--parallel must be >= 1, got {args.parallel}")
 
+    if args.rate is not None:
+        offered = args.rate
+    else:
+        from ..experiments.fleet import single_host_knee
+        offered = args.rate_x * single_host_knee()
+
+    try:
+        spec = PlanSpec(
+            rate=offered, p99_ms=args.p99_ms,
+            availability=args.availability,
+            latency_target=args.latency_target,
+            k_min=args.k_min, k_max=args.k_max,
+            seeds=tuple(args.base_seed + i for i in range(args.seeds)),
+            sim_s=args.sim_s, policy=args.policy)
+    except ValueError as exc:
+        parser.error(str(exc))
+
     # Fail on an unwritable --out-dir before burning simulation time.
     if args.out_dir is not None:
         try:
@@ -68,20 +86,6 @@ def main(argv=None) -> int:
             print(f"cannot create --out-dir {args.out_dir!r}: {exc}",
                   file=sys.stderr)
             return 2
-
-    if args.rate is not None:
-        offered = args.rate
-    else:
-        from ..experiments.fleet import single_host_knee
-        offered = args.rate_x * single_host_knee()
-
-    spec = PlanSpec(
-        rate=offered, p99_ms=args.p99_ms,
-        availability=args.availability,
-        latency_target=args.latency_target,
-        k_min=args.k_min, k_max=args.k_max,
-        seeds=tuple(args.base_seed + i for i in range(args.seeds)),
-        sim_s=args.sim_s, policy=args.policy)
 
     print(f"capacity plan: {offered:,.0f} img/s at p99 < "
           f"{args.p99_ms:g} ms, availability {args.availability:.2%}, "

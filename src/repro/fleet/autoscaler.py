@@ -87,11 +87,8 @@ class Autoscaler:
         self.running = True
         self.env.process(self._loop(), name=self.name)
 
-    def stop(self) -> None:
-        self.running = False
-
     def _loop(self):
-        while self.running:
+        while True:
             yield self.env.timeout(self.config.eval_period_s)
             self._evaluate()
 

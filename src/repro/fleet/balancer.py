@@ -323,9 +323,6 @@ class OpenLoopSource:
         self.running = True
         self.env.process(self._loop(), name="openloop-source")
 
-    def stop(self) -> None:
-        self.running = False
-
     def _on_done(self, event) -> None:
         if event._ok:
             self.completed.add()
@@ -336,7 +333,7 @@ class OpenLoopSource:
 
     def _loop(self):
         h, w = self.image_hw
-        while self.running:
+        while True:
             yield self.env.timeout(1.0 / self.rate)
             now = self.env.now
             draw = self.rng.random()

@@ -264,11 +264,8 @@ class HealthView:
         self.update()
         self.env.process(self._loop(), name="healthview")
 
-    def stop(self) -> None:
-        self.running = False
-
     def _loop(self):
-        while self.running:
+        while True:
             yield self.env.timeout(self.eval_period_s)
             self.update()
 

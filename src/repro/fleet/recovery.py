@@ -413,12 +413,9 @@ class FlightTable:
         self.running = True
         self.env.process(self._sweep_loop(), name="flight-sweep")
 
-    def stop(self) -> None:
-        self.running = False
-
     def _sweep_loop(self):
         period = self.recovery.sweep_period_s
-        while self.running:
+        while True:
             yield self.env.timeout(period)
             self.sweep()
 

@@ -6,16 +6,6 @@ stream.  Phase 2: synchronize every stream, hand the device buffers to
 the solvers' FULL Trans Queues and recycle the host units.  The
 async-submit/late-sync split is what lets one dispatcher thread feed
 multiple GPUs at "reduced CPU cost" (S3.4.3).
-
-Lifecycle: the pump used to run forever; it now has a stop protocol.
-``request_drain()`` asks the loop to exit at the next round boundary
-once the Full_Batch_Queue is empty; ``stop()`` interrupts it
-immediately and restitutes any half-round state (host units back to the
-Full_Batch_Queue, device buffers back to their free Trans Queues), so
-unit conservation holds across a shutdown.  ``stop()`` is precise when
-the pump is blocked waiting (its normal state); interrupting in the
-same sim-timestep a queue get succeeded can drop that one in-flight
-carrier — quiesce producers first.
 """
 
 from __future__ import annotations
@@ -25,7 +15,7 @@ from typing import Optional, Sequence
 from ..calib import Testbed
 from ..engines import CpuCorePool, DeviceBatch
 from ..memory import MemManager, MemoryUnit
-from ..sim import Counter, Environment, Interrupt, deadline_of
+from ..sim import Counter, Environment, deadline_of
 from ..supervision import expire_request
 
 __all__ = ["Dispatcher"]
@@ -59,57 +49,11 @@ class Dispatcher:
         self.items_shed = Counter(env, name=f"{name}.items_shed")
         self.batches_shed = Counter(env, name=f"{name}.batches_shed")
         self._proc = None
-        self._draining = False
-        self._stopped = False
 
     def start(self) -> None:
         if self._proc is not None:
             raise RuntimeError("dispatcher already started")
         self._proc = self.env.process(self._loop(), name=self.name)
-
-    # -- stop / drain protocol ---------------------------------------------
-    @property
-    def proc(self):
-        """The pump process (an Event: ``yield dispatcher.proc`` joins)."""
-        return self._proc
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
-    def request_drain(self) -> None:
-        """Ask the pump to exit at the next round boundary once the
-        Full_Batch_Queue is empty.  Use when producers have finished; a
-        pump already parked on an empty queue needs :meth:`stop`."""
-        self._draining = True
-
-    def stop(self) -> None:
-        """Interrupt the pump now.  Half-round state is restituted so
-        every memory unit and device buffer stays conserved."""
-        if self._proc is None or self._stopped or not self._proc.is_alive:
-            self._stopped = True
-            return
-        self._stopped = True
-        self._proc.interrupt("dispatcher stop()")
-
-    def _restitute(self, hsts: list, devs: list) -> None:
-        """Return half-round carriers to their queues after an interrupt.
-
-        Nothing here was published: host units go back to the
-        Full_Batch_Queue for a future dispatcher, device buffers (reset;
-        their payload was only an alias) to their solvers' free queues.
-        """
-        for hst_batch in hsts:
-            if not self.pool.full_batch_queue.try_put(hst_batch):
-                raise RuntimeError(
-                    f"{self.name}: Full_Batch_Queue rejected a restituted "
-                    f"unit (pool misuse)")
-        for solver, dev_batch in zip(self.solvers, devs):
-            dev_batch.reset()
-            if not solver.trans_queues.free.try_put(dev_batch):
-                raise RuntimeError(
-                    f"{self.name}: free Trans Queue rejected a restituted "
-                    f"device batch")
 
     # -- deadline shedding --------------------------------------------------
     def _shed_batch(self, hst_batch: MemoryUnit) -> None:
@@ -188,45 +132,38 @@ class Dispatcher:
     def _loop(self):
         tb = self.testbed
         while True:
-            if self._draining and len(self.pool.full_batch_queue) == 0:
-                break
             working_hst: list[MemoryUnit] = []
             working_dev: list[DeviceBatch] = []
             copies = []
             copy_started = []
-            try:
-                # Phase 1 (Alg. 3 lines 1-11): one batch per solver, async.
-                for solver in self.solvers:
-                    hst_batch = yield from self._next_batch()
-                    working_hst.append(hst_batch)
-                    copy_started.append(self.env.now)
-                    if self.rtracker is not None:
-                        self._trace_copy_start(hst_batch)
-                    if self.heartbeat is not None:
-                        self.heartbeat.waiting(solver.trans_queues.free.name)
-                    dev_batch: DeviceBatch = yield from \
-                        solver.trans_queues.free.get()
-                    if self.heartbeat is not None:
-                        self.heartbeat.running()
-                    working_dev.append(dev_batch)
-                    if self.cpu is not None:
-                        self.cpu.charge_unaccounted(
-                            tb.dispatcher_batch_cost_s
-                            + tb.cuda_launch_overhead_s, "transform")
-                    copies.append(solver.gpu.memcpy_async(
-                        max(hst_batch.used_bytes, 1)))
-                    dev_batch.payload = hst_batch.payload
-                    dev_batch.item_count = hst_batch.item_count
-                    dev_batch.tag = hst_batch.index
-                # Phase 2 (lines 12-18): sync streams, publish, recycle.
-                for copy_evt in copies:
-                    yield copy_evt
-            except Interrupt:
-                self._restitute(working_hst, working_dev)
-                break
+            # Phase 1 (Alg. 3 lines 1-11): one batch per solver, async.
+            for solver in self.solvers:
+                hst_batch = yield from self._next_batch()
+                working_hst.append(hst_batch)
+                copy_started.append(self.env.now)
+                if self.rtracker is not None:
+                    self._trace_copy_start(hst_batch)
+                if self.heartbeat is not None:
+                    self.heartbeat.waiting(solver.trans_queues.free.name)
+                dev_batch: DeviceBatch = yield from \
+                    solver.trans_queues.free.get()
+                if self.heartbeat is not None:
+                    self.heartbeat.running()
+                working_dev.append(dev_batch)
+                if self.cpu is not None:
+                    self.cpu.charge_unaccounted(
+                        tb.dispatcher_batch_cost_s
+                        + tb.cuda_launch_overhead_s, "transform")
+                copies.append(solver.gpu.memcpy_async(
+                    max(hst_batch.used_bytes, 1)))
+                dev_batch.payload = hst_batch.payload
+                dev_batch.item_count = hst_batch.item_count
+                dev_batch.tag = hst_batch.index
+            # Phase 2 (lines 12-18): sync streams, publish, recycle.
+            for copy_evt in copies:
+                yield copy_evt
             # Publish + recycle without yielding: both queues have room
-            # by construction (capacity == carrier population), so a
-            # stop() can never land half way through a publish.
+            # by construction (capacity == carrier population).
             for solver, hst_batch, dev_batch, started in zip(
                     self.solvers, working_hst, working_dev, copy_started):
                 if self.rtracker is not None:
@@ -238,6 +175,3 @@ class Dispatcher:
                 self.batches_dispatched.add()
                 if self.heartbeat is not None:
                     self.heartbeat.progress()
-        self._stopped = True
-        if self.heartbeat is not None:
-            self.heartbeat.idle()

@@ -54,7 +54,6 @@ class ClientFleet:
             env, name=scoped_name(namespace, "clients.completed"))
         self.rtt = LatencyRecorder(name=scoped_name(namespace, "clients.rtt"))
         self._next_id = 0
-        self._stopped = False
 
     def _default_size(self, rng: np.random.Generator) -> int:
         """JPEG size distribution around the paper's 500x375 average
@@ -67,9 +66,6 @@ class ClientFleet:
         for cid in range(self.num_clients):
             self.env.process(self._client_loop(cid), name=f"client-{cid}")
 
-    def stop(self) -> None:
-        self._stopped = True
-
     def _client_loop(self, client_id: int):
         # Each slot of the window is an independent request chain.
         for _ in range(self.window):
@@ -79,7 +75,7 @@ class ClientFleet:
 
     def _request_chain(self, client_id: int):
         h, w = self.image_hw
-        while not self._stopped:
+        while True:
             rid = self._next_id
             self._next_id += 1
             size = int(self._size_sampler(self.rng))

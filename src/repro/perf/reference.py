@@ -301,12 +301,20 @@ def _timeout_init_ref(self, env, delay: float, value: Any = None):
     env._push(self, delay)
 
 
+def _step_ref(proc, advance) -> None:
+    try:
+        target = advance()
+    except StopIteration as stop:
+        proc.succeed(stop.value)
+        return
+    proc._wait_on(target)
+
+
 def _resume_ref(self, event: Event) -> None:
-    self._waiting_on = None
     if event._ok:
-        self._step(lambda: self.generator.send(event._value))
+        _step_ref(self, lambda: self.generator.send(event._value))
     else:
-        self._step(lambda: self.generator.throw(event._value))
+        _step_ref(self, lambda: self.generator.throw(event._value))
 
 
 def _run_ref(self, until=None) -> Any:

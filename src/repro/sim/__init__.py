@@ -7,7 +7,7 @@ the measurement instruments; :mod:`~repro.sim.rand` deterministic RNG
 streams.
 """
 
-from .core import (AllOf, AnyOf, Environment, Event, Interrupt, Process,
+from .core import (AllOf, AnyOf, Environment, Event, Process,
                    SimulationError, Timeout, drive, total_events_processed)
 from .monitor import (BusyTracker, Counter, IntervalRate, LatencyRecorder,
                       TimeWeighted, scoped_name, set_active_registry)
@@ -17,7 +17,7 @@ from .resources import Resource, Store
 from .trace import Span, Tracer
 
 __all__ = [
-    "Environment", "Event", "Timeout", "Process", "Interrupt", "drive",
+    "Environment", "Event", "Timeout", "Process", "drive",
     "total_events_processed",
     "AllOf", "AnyOf", "SimulationError",
     "Resource", "Store",

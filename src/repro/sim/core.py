@@ -22,7 +22,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "AllOf",
     "AnyOf",
     "SimulationError",
@@ -33,17 +32,6 @@ __all__ = [
 
 class SimulationError(Exception):
     """Raised for kernel-level misuse (double trigger, bad yield, ...)."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another actor interrupted.
-
-    The ``cause`` attribute carries whatever the interrupter supplied.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event lifecycle states.
@@ -182,12 +170,13 @@ class Process(Event):
     """A running simulation actor wrapping a generator.
 
     The process *is itself an event* that triggers when the generator
-    returns (value = its return value) or raises (failure).  Other
-    processes may ``yield proc`` to join on it, or call
-    :meth:`interrupt` to raise :class:`Interrupt` inside it.
+    returns (value = its return value); other processes may
+    ``yield proc`` to join on it.  An exception the generator raises is
+    not caught: it propagates out of :meth:`Environment.run` and ends
+    the run.  Nothing interrupts a process from outside.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on")
+    __slots__ = ("generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator,
                  name: Optional[str] = None):
@@ -196,88 +185,20 @@ class Process(Event):
         super().__init__(env)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         Initialize(env, self)
-
-    @property
-    def is_alive(self) -> bool:
-        return self._state == PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt dead process {self.name}")
-        if self._waiting_on is not None:
-            target = self._waiting_on
-            if self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-            # An interrupted wait on a resource request withdraws the
-            # request — otherwise the slot would later be granted to a
-            # process that is no longer listening and leak forever.
-            cancel = getattr(target, "cancel", None)
-            if callable(cancel) and not target.triggered:
-                cancel()
-            self._waiting_on = None
-        hook = Event(self.env)
-        hook.callbacks.append(self._resume_interrupt(cause))
-        hook.succeed()
-
-    def _resume_interrupt(self, cause: Any) -> Callable[[Event], None]:
-        def do_resume(_evt: Event) -> None:
-            if not self.is_alive:  # finished before the interrupt landed
-                return
-            self._step(lambda: self.generator.throw(Interrupt(cause)))
-        return do_resume
 
     def _resume(self, event: Event) -> None:
         # The kernel's hottest function: one call per process wake-up.
         # Advance the generator directly (no per-resume closure) and
         # handle the yielded event inline.
-        self._waiting_on = None
-        env = self.env
-        env._active_process = self
         try:
             if event._ok:
                 target = self.generator.send(event._value)
             else:
                 target = self.generator.throw(event._value)
         except StopIteration as stop:
-            env._active_process = None
             self.succeed(stop.value)
             return
-        except Interrupt as exc:
-            env._active_process = None
-            self.fail(exc)
-            return
-        except BaseException as exc:
-            env._active_process = None
-            if env.strict:
-                raise
-            self.fail(exc)
-            return
-        env._active_process = None
-        self._wait_on(target)
-
-    def _step(self, advance: Callable[[], Any]) -> None:
-        self.env._active_process = self
-        try:
-            target = advance()
-        except StopIteration as stop:
-            self.env._active_process = None
-            self.succeed(stop.value)
-            return
-        except Interrupt as exc:
-            # An uncaught Interrupt terminates the process as a failure.
-            self.env._active_process = None
-            self.fail(exc)
-            return
-        except BaseException as exc:
-            self.env._active_process = None
-            if self.env.strict:
-                raise
-            self.fail(exc)
-            return
-        self.env._active_process = None
         self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:
@@ -293,10 +214,8 @@ class Process(Event):
             hook.callbacks.append(self._resume)
             hook._state = TRIGGERED
             self.env._push(hook)
-            self._waiting_on = hook
         else:
             target.callbacks.append(self._resume)
-            self._waiting_on = target
 
 
 def drive(generator: Generator, done: Callable[[Any], None]) -> None:
@@ -434,25 +353,22 @@ class Environment:
     triples; the insertion counter ``eid`` breaks time ties in FIFO
     order, so a given schedule always pops in the same order.
 
+    An exception raised inside a process propagates out of :meth:`run`
+    (or :meth:`step`) at the simulated time it was raised: the run ends
+    there.
+
     Parameters
     ----------
     initial_time:
         Starting value of :attr:`now`.
-    strict:
-        When True (the default), an exception escaping a process propagates
-        out of :meth:`run` immediately instead of failing the process
-        event — the right behaviour for tests.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process", "strict",
-                 "events_processed")
+    __slots__ = ("_now", "_queue", "_eid", "events_processed")
 
-    def __init__(self, initial_time: float = 0.0, strict: bool = True):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._eid = itertools.count()
-        self._active_process: Optional[Process] = None
-        self.strict = strict
         #: Total events whose callbacks have run (step() / run() loops).
         self.events_processed = 0
 
@@ -460,10 +376,6 @@ class Environment:
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event constructors ----------------------------------------------
     def event(self) -> Event:

@@ -33,17 +33,12 @@ class Request(Event):
         resource.release(req)
     """
 
-    __slots__ = ("resource", "enqueued_at")
+    __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.enqueued_at = resource.env.now
         resource._enqueue(self)
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request."""
-        self.resource._cancel(self)
 
 
 class Release(Event):
@@ -99,12 +94,6 @@ class Resource:
     def _enqueue(self, request: Request) -> None:
         self._waiters.append(request)
         self._grant_next()
-
-    def _cancel(self, request: Request) -> None:
-        try:
-            self._waiters.remove(request)
-        except ValueError:
-            pass
 
     def _grant_next(self) -> None:
         while self._waiters and len(self._users) < self.capacity:

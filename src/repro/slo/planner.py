@@ -16,9 +16,11 @@ emitted dashboard (markdown + JSON) is byte-identical across reruns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..fleet import ROUTING_POLICIES
 from .kpis import HostShape, kpi_json
 
 __all__ = ["PlanSpec", "CapacityPlan", "evaluate_k", "plan_capacity",
@@ -28,7 +30,10 @@ __all__ = ["PlanSpec", "CapacityPlan", "evaluate_k", "plan_capacity",
 @dataclass(frozen=True)
 class PlanSpec:
     """The question: serve ``rate`` img/s with client-perceived p99
-    under ``p99_ms``, inside the availability error budget."""
+    under ``p99_ms``, inside the availability error budget.
+
+    A bad value raises ``ValueError`` here, before any simulation runs.
+    """
 
     rate: float                       # offered load, img/s
     p99_ms: float                     # client-perceived p99 target
@@ -41,19 +46,23 @@ class PlanSpec:
     policy: str = "least-loaded"
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-        if self.p99_ms <= 0:
-            raise ValueError("p99_ms must be positive")
-        if not 0.0 < self.availability < 1.0:
-            raise ValueError("availability must be in (0, 1)")
+        for name in ("rate", "p99_ms", "sim_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value!r}")
+        for name in ("availability", "latency_target"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got "
+                                 f"{getattr(self, name)!r}")
         if self.k_min < 1 or self.k_max < self.k_min:
             raise ValueError(f"need 1 <= k_min <= k_max, got "
                              f"[{self.k_min}, {self.k_max}]")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.sim_s <= 0:
-            raise ValueError("sim_s must be positive")
+        if self.policy not in ROUTING_POLICIES:
+            raise ValueError(f"unknown routing policy {self.policy!r}; "
+                             f"choose from {ROUTING_POLICIES}")
 
     def to_doc(self) -> dict:
         return {"rate": self.rate, "p99_ms": self.p99_ms,

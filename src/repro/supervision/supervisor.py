@@ -64,18 +64,20 @@ class SupervisionConfig:
 
     ``deadline_s`` is the per-request latency budget; ``None`` disables
     deadline shedding entirely (requests without a stamped
-    ``deadline_at`` never expire).  The three ``shed_*`` switches pick
-    where expired work is dropped.  ``admission_margin_s`` is the
-    estimated in-pipeline service time (decode + pool + copy + compute):
-    the ingress boundary sheds a request once its remaining slack falls
-    below this margin, because admitting it would only waste decode
-    bandwidth on work that must expire downstream.  Without a margin an
-    overloaded open-loop pipeline livelocks — the RX head-of-line age
-    pins at the deadline, every admitted item has ~zero slack, and all
-    of them are decoded then shed at the dispatcher.  ``integrity`` arms
-    ingest checksumming + post-decode verification.  ``fail_fast`` turns
-    the first detected stall into a raised :class:`PipelineStallError`
-    — the right mode for tests, where a stall is a deadlock regression.
+    ``deadline_at`` never expire); when set, expired work is dropped at
+    all three boundaries: NIC RX admission, the FPGAReader before decode
+    and the Dispatcher before the PCIe copy.  ``admission_margin_s`` is
+    the estimated in-pipeline service time (decode + pool + copy +
+    compute): the ingress boundary sheds a request once its remaining
+    slack falls below this margin, because admitting it would only waste
+    decode bandwidth on work that must expire downstream.  Without a
+    margin an overloaded open-loop pipeline livelocks — the RX
+    head-of-line age pins at the deadline, every admitted item has ~zero
+    slack, and all of them are decoded then shed at the dispatcher.
+    ``integrity`` arms ingest checksumming + post-decode verification.
+    ``fail_fast`` turns the first detected stall into a raised
+    :class:`PipelineStallError` — the right mode for tests, where a
+    stall is a deadlock regression.
     """
 
     enabled: bool = True
@@ -85,9 +87,6 @@ class SupervisionConfig:
     fail_fast: bool = False
     # deadlines / admission control
     deadline_s: Optional[float] = None
-    shed_at_admission: bool = True       # NIC RX enqueue + dequeue
-    shed_at_reader: bool = True          # before decode is scheduled
-    shed_at_dispatcher: bool = True      # before the PCIe copy
     admission_margin_s: float = 0.0      # required slack at ingress
     # integrity
     integrity: bool = False
@@ -115,7 +114,6 @@ class Supervisor:
             IntegrityChecker(env, name=f"{name}.integrity")
             if self.config.integrity else None)
         self.rtracker = None   # repro.tracing.RequestTracker, when attached
-        self._stoppables: list = []
         self._started = False
 
     # -- wiring (called by backends) -------------------------------------
@@ -131,11 +129,6 @@ class Supervisor:
 
     def watch_channel(self, channel) -> None:
         self.watchdog.watch_channel(channel)
-
-    def track_stoppable(self, obj) -> None:
-        """Remember a component with a ``stop()`` method for
-        :meth:`shutdown` (the watchdog's clean-shutdown path)."""
-        self._stoppables.append(obj)
 
     def attach_tracker(self, rtracker) -> None:
         """Wire a :class:`~repro.tracing.RequestTracker` into the
@@ -173,7 +166,7 @@ class Supervisor:
         queue): requests without enough remaining slack
         (``admission_margin_s``) are rejected at enqueue and dropped at
         dequeue, and their issuers are notified via ``done_event``."""
-        if not self.sheds_deadlines or not self.config.shed_at_admission:
+        if not self.sheds_deadlines:
             return
         margin = self.config.admission_margin_s
         extractor = deadline_of
@@ -191,12 +184,6 @@ class Supervisor:
             return
         self._started = True
         self.watchdog.start()
-
-    def shutdown(self) -> None:
-        """Quiesce tracked components, then the watchdog itself."""
-        for obj in self._stoppables:
-            obj.stop()
-        self.watchdog.stop()
 
     # -- reporting -------------------------------------------------------
     @property

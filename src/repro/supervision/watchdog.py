@@ -65,7 +65,6 @@ class Watchdog:
         self.reports: list[StallReport] = []
         self._channels: list = []
         self._proc = None
-        self._running = False
 
     # -- registry --------------------------------------------------------
     def register(self, name: str) -> Heartbeat:
@@ -82,18 +81,11 @@ class Watchdog:
     def start(self) -> None:
         if self._proc is not None:
             raise RuntimeError("watchdog already started")
-        self._running = True
         self._proc = self.env.process(self._scan_loop(), name=self.name)
 
-    def stop(self) -> None:
-        """Quiesce: the scan loop exits at its next wake-up."""
-        self._running = False
-
     def _scan_loop(self):
-        while self._running:
+        while True:
             yield self.env.timeout(self.scan_period_s)
-            if not self._running:
-                return
             self.scan()
 
     # -- detection -------------------------------------------------------

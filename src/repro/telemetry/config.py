@@ -28,11 +28,11 @@ class TelemetryConfig:
     doubles its interval when a series would exceed it.
     ``export_path`` — when set, the registry snapshot plus depth series
     are written there as JSON after the run.
-    ``trace_counters`` — when the run also has a tracer, merge the depth
-    series into it as Chrome-trace counter tracks.
+
+    When the run also has a tracer, the depth series are merged into it
+    as Chrome-trace counter tracks.
     """
 
     sample_interval_s: float = 0.02
     max_points: int = 4096
     export_path: Optional[str] = None
-    trace_counters: bool = True

@@ -221,7 +221,7 @@ def _run_inference(cfg: InferenceConfig, testbed: Testbed,
             registry.to_json(cfg.telemetry.export_path,
                              extra={"queue_depths": sampler.series()})
     if rtracker is not None:
-        if sampler is not None and cfg.telemetry.trace_counters:
+        if sampler is not None:
             # Join the queue-depth time series onto the request spans so
             # the exported trace shows *why* a wait segment is long.
             sampler.to_trace(rtracker.tracer)

@@ -278,7 +278,7 @@ def _run_training(cfg: TrainingConfig, testbed: Testbed, tracer_factory,
         if cfg.telemetry.export_path:
             registry.to_json(cfg.telemetry.export_path,
                              extra={"queue_depths": sampler.series()})
-        if tracer is not None and cfg.telemetry.trace_counters:
+        if tracer is not None:
             sampler.to_trace(tracer)
             registry.to_trace(tracer)
     if tracer is not None:

@@ -281,95 +281,3 @@ def test_reader_run_stream_unbounded_keeps_consuming():
     env.run(until=0.1)
     assert reader.items_submitted.total > 50
     assert pool.conservation_ok()
-
-
-# ------------------------------------------------- dispatcher stop / drain
-def test_dispatcher_request_drain_exits_at_round_boundary():
-    env = Environment()
-    pool = MemManager(env, unit_size=1024, unit_count=4,
-                      allocate_arena=False)
-    solver = FakeSolver(env, GpuDevice(env, DEFAULT_TESTBED, 0))
-    disp = Dispatcher(env, DEFAULT_TESTBED, pool, [solver])
-    disp.start()
-
-    def produce(env):
-        for _ in range(2):
-            unit = yield from pool.get_item()
-            unit.item_count = 4
-            unit.used_bytes = 256
-            yield from pool.full_batch_queue.put(unit)
-        disp.request_drain()
-
-    def consume(env):
-        while True:
-            batch = yield from solver.trans_queues.full.get()
-            batch.reset()
-            yield from solver.trans_queues.free.put(batch)
-
-    env.process(produce(env))
-    env.process(consume(env))
-    env.run(until=1.0)
-    assert disp.stopped
-    assert not disp.proc.is_alive
-    assert disp.batches_dispatched.total == 2
-    assert pool.conservation_ok()
-
-
-def test_dispatcher_stop_while_parked_on_empty_queue():
-    env = Environment()
-    pool = MemManager(env, unit_size=1024, unit_count=2,
-                      allocate_arena=False)
-    solver = FakeSolver(env, GpuDevice(env, DEFAULT_TESTBED, 0))
-    disp = Dispatcher(env, DEFAULT_TESTBED, pool, [solver])
-    disp.start()
-    env.run(until=0.1)                     # parked on Full_Batch_Queue
-    disp.stop()
-    env.run(until=0.2)
-    assert disp.stopped
-    assert not disp.proc.is_alive
-    assert pool.conservation_ok()
-    assert len(pool.free_batch_queue) == 2
-
-
-def test_dispatcher_stop_restitutes_half_round_state():
-    """Stop the pump while it holds a host unit and waits for a device
-    buffer: the unit must go back to the Full_Batch_Queue, conserved."""
-    env = Environment()
-    pool = MemManager(env, unit_size=1024, unit_count=2,
-                      allocate_arena=False)
-    solver = FakeSolver(env, GpuDevice(env, DEFAULT_TESTBED, 0), depth=2)
-    disp = Dispatcher(env, DEFAULT_TESTBED, pool, [solver])
-
-    def starve_trans(env):
-        # Take both device buffers so the pump blocks mid-round.
-        yield from solver.trans_queues.free.get()
-        yield from solver.trans_queues.free.get()
-
-    def produce(env):
-        unit = yield from pool.get_item()
-        unit.item_count = 4
-        unit.used_bytes = 256
-        yield from pool.full_batch_queue.put(unit)
-
-    env.process(starve_trans(env))
-    env.process(produce(env))
-    env.run(until=0.05)
-    disp.start()
-    env.run(until=0.1)                     # holds the unit, waits for dev
-    disp.stop()
-    env.run(until=0.2)
-    assert disp.stopped
-    assert len(pool.full_batch_queue) == 1   # restituted, not lost
-    assert pool.conservation_ok()
-
-
-def test_dispatcher_stop_before_start_and_twice_is_safe():
-    env = Environment()
-    pool = MemManager(env, unit_size=64, unit_count=1,
-                      allocate_arena=False)
-    solver = FakeSolver(env, GpuDevice(env, DEFAULT_TESTBED, 0))
-    disp = Dispatcher(env, DEFAULT_TESTBED, pool, [solver])
-    disp.stop()                            # never started: no-op
-    assert disp.stopped
-    disp.stop()                            # idempotent
-    assert disp.stopped

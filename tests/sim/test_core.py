@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim import (AllOf, AnyOf, Environment, Interrupt,
-                       SimulationError)
+from repro.sim import AllOf, AnyOf, Environment, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -230,7 +229,8 @@ def test_event_value_before_trigger_raises():
 
 
 def test_strict_mode_propagates_process_errors():
-    env = Environment(strict=True)
+    """The kernel is always strict: a process's exception is not caught."""
+    env = Environment()
 
     def bad(env):
         yield env.timeout(1.0)
@@ -241,17 +241,25 @@ def test_strict_mode_propagates_process_errors():
         env.run()
 
 
-def test_nonstrict_mode_fails_process_event():
-    env = Environment(strict=False)
+@pytest.mark.parametrize("until", [
+    pytest.param(lambda env: None, id="until-none"),
+    pytest.param(lambda env: 5.0, id="until-time"),
+    pytest.param(lambda env: env.event(), id="until-event"),
+])
+def test_process_error_ends_run_where_raised(until):
+    """Each of run()'s three loops lets the error out at t=1.0, with the
+    Initialize event and the timeout counted."""
+    env = Environment()
 
     def bad(env):
         yield env.timeout(1.0)
-        raise ValueError("contained")
+        raise ValueError("bug in process")
 
-    proc = env.process(bad(env))
-    env.run()
-    assert proc.triggered and not proc.ok
-    assert isinstance(proc.value, ValueError)
+    env.process(bad(env))
+    with pytest.raises(ValueError, match="bug in process"):
+        env.run(until(env))
+    assert env.now == 1.0
+    assert env.events_processed == 2
 
 
 def test_yield_non_event_rejected():
@@ -263,60 +271,6 @@ def test_yield_non_event_rejected():
     env.process(bad(env))
     with pytest.raises(SimulationError, match="yielded"):
         env.run()
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as i:
-            log.append((env.now, i.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt("wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [(2.0, "wake up")]
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    proc = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-    trace = []
-
-    def resilient(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            trace.append(("interrupted", env.now))
-        yield env.timeout(1.0)
-        trace.append(("done", env.now))
-
-    def interrupter(env, victim):
-        yield env.timeout(5.0)
-        victim.interrupt()
-
-    victim = env.process(resilient(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert trace == [("interrupted", 5.0), ("done", 6.0)]
 
 
 def test_all_of_waits_for_slowest():
@@ -383,19 +337,6 @@ def test_process_requires_generator():
         env.process(lambda: None)
 
 
-def test_is_alive_lifecycle():
-    env = Environment()
-
-    def p(env):
-        yield env.timeout(1.0)
-
-    proc = env.process(p(env))
-    assert proc.is_alive
-    env.run()
-    assert not proc.is_alive
-    assert proc.ok
-
-
 def test_determinism_two_runs_identical():
     def build_and_run():
         env = Environment()
@@ -412,52 +353,6 @@ def test_determinism_two_runs_identical():
         return trace
 
     assert build_and_run() == build_and_run()
-
-
-def test_interrupt_while_waiting_on_resource_withdraws_request():
-    """An interrupted resource wait must not leak the queued request:
-    the slot goes to the next live waiter instead."""
-    from repro.sim import Resource
-
-    env = Environment()
-    res = Resource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        req = res.request()
-        yield req
-        yield env.timeout(10.0)
-        res.release(req)
-
-    def impatient(env):
-        req = res.request()
-        try:
-            yield req
-            order.append("impatient-got-slot")
-            res.release(req)
-        except Interrupt:
-            order.append("impatient-interrupted")
-
-    def patient(env):
-        yield env.timeout(1.0)
-        req = res.request()
-        yield req
-        order.append(("patient-got-slot", env.now))
-        res.release(req)
-
-    env.process(holder(env))
-    victim = env.process(impatient(env))
-    env.process(patient(env))
-
-    def interrupter(env):
-        yield env.timeout(5.0)
-        victim.interrupt()
-
-    env.process(interrupter(env))
-    env.run()
-    assert order == ["impatient-interrupted", ("patient-got-slot", 10.0)]
-    assert res.count == 0
-    assert res.queue_len == 0
 
 
 def test_drive_runs_generator_and_frees_it_without_gc():

@@ -113,20 +113,6 @@ def test_yielded_release_resumes_at_once():
     assert log == [("waiter", 1.0, None), ("holder", 1.0, None)]
 
 
-def test_request_cancel_removes_waiter():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    r3 = res.request()
-    env.run()
-    r2.cancel()
-    res.release(r1)
-    env.run()
-    assert r3.triggered
-    assert not r2.triggered
-
-
 # ---------------------------------------------------------------- Store
 def test_store_put_get_fifo():
     env = Environment()

@@ -40,6 +40,15 @@ def test_spec_validation():
         tiny_spec(seeds=())
     with pytest.raises(ValueError):
         tiny_spec(availability=1.0)
+    for name in ("rate", "p99_ms", "sim_s"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                tiny_spec(**{name: bad})
+    for bad in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="latency_target"):
+            tiny_spec(latency_target=bad)
+    with pytest.raises(ValueError, match="routing policy"):
+        tiny_spec(policy="foo")
 
 
 def test_planner_reproduces_fleet_knee(knee_plan):
@@ -167,3 +176,19 @@ def test_cli_rejects_bad_counts():
         capacity_main(["--parallel", "0"])
     with pytest.raises(SystemExit):
         capacity_main(["--rate", "100", "--rate-x", "2.0"])
+
+
+@pytest.mark.parametrize("bad", [
+    ["--rate-x", "-1"],
+    ["--rate", "nan"],
+    ["--k-min", "0"],
+    ["--sim-s", "nan"],
+    ["--policy", "foo"],
+    ["--latency-target", "1.5"],
+    ["--p99-ms", "nan"],
+], ids=lambda bad: "=".join(bad).lstrip("-"))
+def test_cli_rejects_bad_spec_before_simulating(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        capacity_main(["--k-max", "1", "--sim-s", str(SIM_S), *bad])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""      # no plan header, no run
