@@ -28,6 +28,7 @@ is the PR 6 path, bit-identically (no proxy events, no processes).
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable, Optional
 
@@ -297,7 +298,12 @@ class OpenLoopSource:
         self.rng = rng
         self.num_clients = num_clients
         self.deadline_s = deadline_s
-        self._cdf = np.cumsum(zipf_weights(num_clients, skew))
+        # A tuple of floats for bisect; the last entry is pinned at 1.0
+        # because the cumulative sum can round below it, and a draw above
+        # that entry would name a client that does not exist.
+        cdf = np.cumsum(zipf_weights(num_clients, skew))
+        cdf[-1] = 1.0
+        self._cdf = tuple(cdf.tolist())
         self._sampler = size_sampler if size_sampler is not None \
             else jpeg_size_sampler()
         self.sent = Counter(env, name=f"{name}.sent")
@@ -337,7 +343,7 @@ class OpenLoopSource:
             yield self.env.timeout(1.0 / self.rate)
             now = self.env.now
             draw = self.rng.random()
-            client = int(np.searchsorted(self._cdf, draw, side="right"))
+            client = bisect.bisect_right(self._cdf, draw)
             done = self.env.event()
             done.callbacks.append(self._on_done)
             request = self._make_request(client, done, now, h, w)

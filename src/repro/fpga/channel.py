@@ -55,20 +55,21 @@ class FPGAChannel:
         """Generator: push one packeted cmd into the FPGA FIFO queue.
 
         Blocks when the FIFO is at its hardware depth — the natural
-        backpressure FPGAReader leans on.  Returns any completions that
-        were already available (the "mem_carriers" of Algorithm 1 line 13).
+        backpressure FPGAReader leans on.  Consumes no FINISH records:
+        the caller's completion pump (:meth:`wait_one`/:meth:`drain_out`)
+        is their only consumer, so a record pending during a submit is
+        never lost.
         """
         self._check()
         if self._lost_in_transit():
             self.submitted.add()
             self.dropped.add()
             self._track()
-            return self.drain_out()
+            return
         mark_cmd(cmd, "fpga.fifo", "wait")
         yield from self.mirror.cmd_queue.put(cmd)
         self.submitted.add()
         self._track()
-        return self.drain_out()
 
     def try_submit_cmd(self, cmd: DecodeCmd) -> bool:
         """Non-blocking submit; False when the FIFO is full."""

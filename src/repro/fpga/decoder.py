@@ -12,24 +12,51 @@ Two fidelity levels share this control path:
   DMA stage writes real pixels into the host hugepage unit.  Timing is
   still the calibrated model, so both modes behave identically in
   simulated time.
+
+The six stages form a FIFO tandem with blocking after service: a stage
+holds a finished cmd until the next stage's buffer, ``fpga_queue_depth``
+cmds deep, has room.  Each stage starts cmds in its own arrival order,
+and a multi-way stage gives each cmd the way that freed first.  For a
+stage S feeding stage T, cmd n's schedule is
+
+    start_S(n) = max(arrive_S(n), leave_S(n-1))
+    end_S(n)   = start_S(n) + service_S(n)
+    leave_S(n) = max(end_S(n), start_T(n - depth))
+    arrive_T(n) = leave_S(n)
+
+:class:`_Tandem` evaluates this recursion stage by stage and keeps a
+kernel event only where a schedule cannot be known earlier: a Huffman or
+resizer completion (several ways let cmds overtake, so the next stage's
+arrival order is their completion order), a disk read (the
+:class:`~repro.storage.NvmeDisk` is shared) and the DMA write completion
+that raises FINISH.  The parser, a DRAM (or disk-less) DataReader and
+the iDCT have one way and a service time fixed by the cmd, so their
+times are computed inside the event before them.  Every time comes from
+the same additions and comparisons an event per service would make, so
+the schedule is bit-identical to a chain of
+:class:`~repro.fpga.units.PipelineUnit` stages.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
 from ..calib import Testbed
 from ..jpeg import (JpegDecodeError, coefficients_to_planes, entropy_decode,
                     parse_jpeg, planes_to_image, resize_bilinear)
-from ..sim import Channel, Counter, Environment
+from ..sim import (BusyTracker, Channel, Counter, Environment, Event,
+                   LatencyRecorder, TimeWeighted)
+from ..sim.core import TRIGGERED, _schedule_at
+from ..sim.monitor import registry_active
 from ..storage.nvme import NvmeReadError
-from ..tracing.context import mark_cmd
+from ..tracing.context import mark_cmd, mark_cmd_at
 from .device import FpgaDevice
-from .units import FifoStage, PipelineUnit
 
 __all__ = ["DecodeCmd", "FinishRecord", "ImageDecoderMirror"]
 
@@ -90,14 +117,14 @@ class DecodeCmd:
         return self.out_h * self.out_w
 
 
-@dataclass(frozen=True)
-class FinishRecord:
+class FinishRecord(NamedTuple):
     """The FINISH signal raised after the DMA write (Fig. 4).
 
     ``status == "error"`` means the cmd traversed the pipeline but
     produced no pixels (poison input, device read failure); the record
     still surfaces so the host can account for the slot instead of
-    waiting forever.
+    waiting forever.  A named tuple, not a dataclass: one is built per
+    decoded cmd, and a tuple is about three times cheaper to construct.
     """
 
     cmd_id: int
@@ -110,112 +137,912 @@ class FinishRecord:
     error: Optional[str] = None
 
 
-class DataReader(FifoStage):
-    """Fetches source bytes from NVMe or host DRAM (Fig. 4 DataReader)."""
+# The start of "the cmd ``depth`` places ahead" when there is none.
+_NONE_AHEAD = -math.inf
 
-    def __init__(self, mirror: "ImageDecoderMirror"):
-        super().__init__(mirror.env, f"{mirror.name}.reader", 1,
-                         mirror._fetch_q, mirror._huff_q)
-        self.mirror = mirror
+# _Tandem.dirty bits: a stage's start can free the cmd held upstream, so
+# it marks that stage (parser, DataReader, Huffman, iDCT, resizer) or the
+# blocked host puts (a parser start) for the pump.  Hand-offs downstream
+# are direct calls.
+_P, _R, _H, _I, _Z, _F = 1, 2, 4, 8, 16, 32
 
-    def _serve(self, way: int, cmd: DecodeCmd) -> bool:
-        mark_cmd(cmd, "fpga.fetch", "service")
-        self._held[way] = cmd
-        mirror = self.mirror
-        tb = mirror.testbed
-        if cmd.source == "disk":
-            if mirror.disk is not None:
-                try:
-                    mirror.disk.read_then(cmd.size_bytes,
-                                          self._finished[way])
-                except NvmeReadError as exc:
-                    # Forward the cmd anyway: the host learns of the
-                    # failure from the error FINISH record, not a hang.
-                    cmd.error = f"NvmeReadError: {exc}"
-                    return self._finish(way)
-                return False
-            delay = cmd.size_bytes / tb.nvme_read_rate
-        elif cmd.source == "dram":
-            # DMA read from host memory (data landed there via NIC).
-            delay = cmd.size_bytes / tb.fpga_dma_rate
+# A folded stage settles its ended services once this many are queued
+# (reads settle first anyway); it bounds the queue, not the results.
+_SETTLE_AT = 64
+
+
+class _Wake:
+    """A reusable heap entry: when the kernel runs it, it calls
+    ``fn(arg)``.  Each way pushes its own entry again for every service,
+    so a service costs one heap push and no fresh event."""
+
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn, arg=None):
+        self.fn = fn
+        self.arg = arg
+
+    def _run_callbacks(self) -> None:
+        self.fn(self.arg)
+
+
+class _Starts:
+    """One stage's start times in its arrival order, for the blocking
+    rule upstream.  Lookups only move forward, so the starts before the
+    last one asked for are dropped."""
+
+    __slots__ = ("times", "base")
+
+    def __init__(self):
+        self.times: deque[float] = deque()
+        self.base = 0
+
+    def at(self, j: int) -> Optional[float]:
+        """Start of the ``j``-th arrival: ``-inf`` when ``j < 0``, None
+        while it is not determined yet."""
+        times = self.times
+        i = j - self.base           # base <= j whenever j >= 0
+        if i <= 0:
+            if i < 0:
+                return _NONE_AHEAD
+            return times[0] if times else None
+        if i >= len(times):
+            return None
+        self.base = j
+        if i == 1:
+            times.popleft()
         else:
-            raise ValueError(f"unknown source {cmd.source!r}")
-        self.env.timeout(delay).callbacks.append(self._finished[way])
-        return False
-
-    def _finish(self, way: int) -> bool:
-        cmd = self._held[way]
-        self._held[way] = None
-        mark_cmd(cmd, "fpga.queue", "wait")
-        return self._forward(way, cmd)
+            popleft = times.popleft
+            for _ in range(i):
+                popleft()
+        return times[0]
 
 
-class DmaWriter(FifoStage):
-    """Writes results to host hugepages, then raises FINISH.
+# -- instruments whose intervals are known ahead of the clock -------------
+class _StageBusy(BusyTracker):
+    """A stage's busy time.  A start may be computed ahead of the clock,
+    so a read first settles the services that ended by now (in
+    completion order), then counts each one begun and still running as
+    ``now - start``, exactly as :class:`BusyTracker` counts an open
+    interval."""
 
-    The stage is 1-way and the device's only DMA user, so a write is one
-    timeout of ``out_bytes / fpga_dma_rate``, credited to the bound
-    device's ``dma_busy`` while it runs.
+    def __init__(self, env: Environment, unit: "_Stage"):
+        super().__init__(env, name=f"{unit.name}.busy")
+        self._unit = unit
+
+    def busy_seconds(self, category: Optional[str] = None) -> float:
+        unit = self._unit
+        unit._settle()
+        now = self.env.now
+        closed = (sum(self._busy.values()) if category is None
+                  else self._busy.get(category, 0.0))
+        if category is None or category == unit.name:
+            for start in unit._open_starts():
+                if start <= now:
+                    closed += now - start
+        return closed
+
+    def breakdown(self) -> dict[str, float]:
+        unit = self._unit
+        unit._settle()
+        now = self.env.now
+        elapsed = now - self._t0
+        if elapsed <= 0:
+            return {}
+        out: dict[str, float] = {}
+        for cat in self._busy:
+            out[cat] = self.busy_seconds(cat) / elapsed
+        if any(start <= now for start in unit._open_starts()):
+            out.setdefault(unit.name, self.busy_seconds(unit.name) / elapsed)
+        return out
+
+
+class _SettledCounter(Counter):
+    """A folded stage's item count: services that ended by now."""
+
+    def __init__(self, env: Environment, name: str, settle):
+        self._settle = settle
+        super().__init__(env, name=name)
+
+    @property
+    def total(self) -> float:
+        self._settle()
+        return self._total
+
+    @total.setter
+    def total(self, value: float) -> None:
+        self._total = value
+
+
+class _StageStats:
+    """:class:`~repro.fpga.units.UnitStats`' surface for a tandem stage."""
+
+    def __init__(self, env: Environment, unit: "_Stage", folded: bool):
+        self.busy = _StageBusy(env, unit)
+        self.items = (_SettledCounter(env, f"{unit.name}.items",
+                                      unit._settle)
+                      if folded else Counter(env, name=f"{unit.name}.items"))
+        self._per_way = [0] * unit.ways
+        self._settle = unit._settle
+
+    @property
+    def per_way_items(self) -> list[int]:
+        self._settle()
+        return self._per_way
+
+    def utilization(self, ways: int) -> float:
+        """Mean busy fraction per way (1.0 = the unit is the bottleneck)."""
+        return self.busy.cores() / ways if ways else 0.0
+
+
+class _Stage:
+    """One replicated unit of the tandem, with the observable surface of
+    a :class:`~repro.fpga.units.PipelineUnit`: ``ways``, ``stats``,
+    ``utilization()``, ``way_imbalance()``, ``clb_cost`` and ``tracer``.
+
+    A *folded* stage (one way, service known from the cmd) queues each
+    service in ``_due`` when it is computed, possibly ahead of the
+    clock; reads settle the services that ended by then.  An evented
+    stage's services are held by its :class:`_Ways` and credited at
+    their completion events, as a PipelineUnit credits them.
+    """
+
+    def __init__(self, env: Environment, name: str, ways: int,
+                 clb_cost_per_way: int, folded: bool):
+        if ways < 1:
+            raise ValueError(f"{name}: ways must be >= 1")
+        self.env = env
+        self.name = name
+        self.ways = ways
+        self.clb_cost_per_way = clb_cost_per_way
+        self.tracer = None
+        self._due: Optional[deque] = deque() if folded else None
+        self._ways: Optional["_Ways"] = None
+        self.stats = _StageStats(env, self, folded)
+        # Request-trace stage label, e.g. "image-decoder.huffman" ->
+        # "fpga.huffman" (stable across decoder instances).
+        self._trace_stage = "fpga." + name.rsplit(".", 1)[-1]
+
+    @property
+    def clb_cost(self) -> int:
+        return self.clb_cost_per_way * self.ways
+
+    def utilization(self) -> float:
+        return self.stats.utilization(self.ways)
+
+    def way_imbalance(self) -> float:
+        """max/mean per-way item count; ~1.0 means balanced ways."""
+        counts = self.stats.per_way_items
+        mean = sum(counts) / len(counts)
+        return max(counts) / mean if mean else 0.0
+
+    def _settle(self) -> None:
+        due = self._due
+        if not due:
+            return
+        now = self.env._now
+        if due[0][1] > now:
+            return
+        closed = self.stats.busy._busy
+        stats = self.stats
+        name = self.name
+        while due and due[0][1] <= now:
+            start, end = due.popleft()
+            closed[name] = closed.get(name, 0.0) + (end - start)
+            stats.items._total += 1.0
+            stats._per_way[0] += 1
+
+    def _open_starts(self) -> list[float]:
+        """Starts of the services not yet credited, in start order."""
+        if self._due is not None:
+            return [start for start, _ in self._due]
+        ways = self._ways
+        return [start for _, start in sorted(
+            (ways.tok[w], ways.start[w]) for w in range(self.ways)
+            if ways.cmd[w] is not None)]
+
+
+class _FifoLevel(TimeWeighted):
+    """The cmd FIFO's occupancy: parser takes land ahead of the clock,
+    so every read first applies the ones due by now."""
+
+    def __init__(self, env: Environment, name: str, settle):
+        self._settle = settle
+        super().__init__(env, 0, name=name)
+
+    @property
+    def value(self) -> float:
+        self._settle()
+        return self._value
+
+    @property
+    def max_value(self) -> float:
+        self._settle()
+        return self._max
+
+    @max_value.setter
+    def max_value(self, value: float) -> None:
+        self._max = value
+
+    @property
+    def min_value(self) -> float:
+        self._settle()
+        return self._min
+
+    @min_value.setter
+    def min_value(self, value: float) -> None:
+        self._min = value
+
+    def mean(self) -> float:
+        self._settle()
+        return super().mean()
+
+    def _set_at(self, when: float, value: float) -> None:
+        """:meth:`set` at time ``when`` (not before the last one)."""
+        self._area += self._value * (when - self._last_t)
+        self._last_t = when
+        self._value = value = float(value)
+        if value > self._max:
+            self._max = value
+        elif value < self._min:
+            self._min = value
+
+
+class _FifoWait(LatencyRecorder):
+    """The cmd FIFO's wait times, recorded at parser takes that may lie
+    ahead of the clock: every read first records the ones due by now."""
+
+    _settle = None          # dropped when pickled: a copy never settles
+
+    def __init__(self, name: str, settle):
+        super().__init__(name=name)
+        self._settle = settle
+
+    def _flush(self) -> None:
+        if self._settle is not None:
+            self._settle()
+        super()._flush()
+
+    def __getstate__(self) -> dict:
+        self._flush()
+        state = dict(self.__dict__)
+        state.pop("_settle", None)
+        return state
+
+    @property
+    def count(self) -> int:
+        self._flush()
+        return self._count
+
+    @property
+    def sample_count(self) -> int:
+        self._flush()
+        return len(self._sorted)
+
+    @property
+    def is_exact(self) -> bool:
+        self._flush()
+        return self._count == len(self._sorted)
+
+    def total(self) -> float:
+        self._flush()
+        return super().total()
+
+    def mean(self) -> float:
+        self._flush()
+        return super().mean()
+
+    def max(self) -> float:
+        self._flush()
+        return super().max()
+
+    def min(self) -> float:
+        self._flush()
+        return super().min()
+
+
+class _CmdFifo:
+    """The decoder's host-facing cmd FIFO: ``put``, ``try_put`` and
+    ``len`` behave as on a :class:`~repro.sim.Channel` of capacity
+    ``fpga_queue_depth`` that the parser takes from.  Built under a
+    metrics registry it keeps the same ``occupancy`` and ``wait``
+    monitors."""
+
+    def __init__(self, tandem: "_Tandem", name: str):
+        self._tandem = tandem
+        self.occupancy: Optional[_FifoLevel] = None
+        self.wait: Optional[_FifoWait] = None
+        if registry_active():
+            settle = tandem._settle_takes
+            self.occupancy = _FifoLevel(tandem.env, f"{name}.occupancy",
+                                        settle)
+            self.wait = _FifoWait(f"{name}.wait", settle)
+        tandem.fifo = self
+        tandem.monitored = self.occupancy is not None
+
+    def __len__(self) -> int:
+        return self._tandem.waiting()
+
+    def put(self, cmd: DecodeCmd):
+        """Generator: blocks while the FIFO is full."""
+        yield self._tandem.put(cmd)
+        if self.occupancy is not None:
+            self._tandem._count_admission()
+
+    def try_put(self, cmd: DecodeCmd) -> bool:
+        """Non-blocking put; False when the FIFO is full."""
+        ok = self._tandem.try_put(cmd)
+        if ok and self.occupancy is not None:
+            self._tandem._count_admission()
+        return ok
+
+
+class _Tandem:
+    """The image decoder's stages as one FIFO tandem (module docstring).
+
+    State per stage, in its arrival order: a queue of ``(cmd, arrival)``
+    not yet started, the start times the stage upstream blocks on, and
+    the cmd held after service until the stage downstream has room.
+    :meth:`_pump` advances every stage as far as its inputs are
+    determined; it runs inside each kept event and each host put.
     """
 
     def __init__(self, mirror: "ImageDecoderMirror"):
-        super().__init__(mirror.env, f"{mirror.name}.dmaw", 1,
-                         mirror._dma_q, mirror.finish_queue)
         self.mirror = mirror
-        self._written = [partial(self._on_written, way)
-                         for way in range(self.ways)]
+        env = self.env = mirror.env
+        tb = mirror.testbed
+        self.depth = tb.fpga_queue_depth
+        self.functional = mirror.functional
+        self.started = False
+        self.dirty = 0
+        self.s_parse = tb.fpga_cmd_overhead_s
+        self.dma_rate = tb.fpga_dma_rate    # host DRAM reads and writes
+        self.nvme_rate = tb.nvme_read_rate
+        self.idct_rate = tb.fpga_idct_pixel_rate
+        self.fifo: Optional[_CmdFifo] = None
+        self.monitored = False          # the FIFO has registry monitors
 
-    def _serve(self, way: int, cmd: DecodeCmd) -> bool:
-        mark_cmd(cmd, "fpga.dma", "service")
-        mirror = self.mirror
-        if cmd.error is not None:
-            # No pixels to move; raise an error FINISH immediately so
-            # the host can release the slot.
-            mirror.decode_errors.add()
-            return self._forward(way, FinishRecord(
-                cmd_id=cmd.cmd_id, batch_tag=cmd.batch_tag,
-                dest_phy=cmd.dest_phy, dest_offset=cmd.dest_offset,
-                out_bytes=0, finished_at=self.env.now,
-                status="error", error=cmd.error))
-        nbytes = cmd.out_bytes
-        if nbytes <= 0:
-            raise ValueError(f"dma size must be positive, got {nbytes}")
-        # The busy tracker is held with the cmd: a mirror swapped out
-        # mid-write still credits the device it started on.
-        busy = mirror.device.dma_busy if mirror.device is not None else None
-        tok = busy.begin("dma") if busy is not None else None
-        self._held[way] = (cmd, busy, tok)
-        self.env.timeout(
-            nbytes / mirror.testbed.fpga_dma_rate
-        ).callbacks.append(self._written[way])
-        return False
+        # Host side of the FIFO.  ``puts``: blocked puts, in order.
+        # ``takes``: parser starts not yet reached, (start, admitted,
+        # called), for ``len`` and the FIFO monitors.
+        self.puts: deque = deque()
+        self.admitted = 0
+        self.takes: deque = deque()
+        self.adm_times: deque = deque()     # only under a registry
+        self.fifo_in = 0
+        self.fifo_out = 0
+        self._settling = False
 
-    def _on_written(self, way: int, _event: Any = None) -> None:
-        cmd, busy, tok = self._held[way]
-        if busy is not None:
-            busy.end(tok)
-        self._held[way] = cmd
-        mirror = self.mirror
-        if mirror.functional and cmd.result is not None \
-                and mirror.host_pool is not None:
-            unit = mirror.host_pool.unit_by_phy(cmd.dest_phy)
-            unit.write(cmd.dest_offset, cmd.result)
-        if mirror.injector is not None:
-            stall = mirror.injector.finish_stall_s(mirror.site)
-            if stall > 0.0:
-                self.env.timeout(stall).callbacks.append(
-                    self._finished[way])
+        # Parser: one way, folded.
+        self.p_q: deque = deque()
+        self.p_starts = _Starts()
+        self.p_n = 0
+        self.p_free = _NONE_AHEAD
+        self.p_held = None
+        # DataReader: one way, folded except for a disk read.
+        self.r_q: deque = deque()
+        self.r_starts = _Starts()
+        self.r_n = 0
+        self.r_free = _NONE_AHEAD
+        self.r_held = None
+        self.r_reading: Optional[DecodeCmd] = None
+        self.r_wake = _Wake(self._read_at_start)
+        # iDCT: one way, folded.
+        self.i_q: deque = deque()
+        self.i_starts = _Starts()
+        self.i_n = 0
+        self.i_free = _NONE_AHEAD
+        self.i_held = None
+        # DMA: one way, evented.
+        self.d_q: deque = deque()
+        self.d_starts = _Starts()
+        self.d_cmd: Optional[DecodeCmd] = None
+        self.d_bytes = 0
+        self.d_busy = None
+        self.d_tok = None
+        self.d_stalled = False
+        self.d_wake = _Wake(self._d_done)
+        # Huffman and resizer: several ways, evented.
+        huff_rate = tb.fpga_huffman_byte_rate
+        resize_rate = tb.fpga_resizer_pixel_rate
+        # Poison and the functional entropy decode act at completion.
+        self.h = _Ways(self, mirror.huffman, mirror._huffman_fn,
+                       lambda cmd: cmd.size_bytes / huff_rate,
+                       self.i_starts, self.i_q, self._step_i, _R, "r_held")
+        # Output-driven decimating resizer: line buffers stream the
+        # decoded rows through, so cost scales with *output* pixels.
+        self.z = _Ways(self, mirror.resizer,
+                       mirror._resize_fn if mirror.functional else None,
+                       lambda cmd: cmd.out_pixels / resize_rate,
+                       self.d_starts, self.d_q, self._step_d, _I, "i_held")
+        self._steps = {_P: self._step_p, _R: self._step_r, _H: self.h.step,
+                       _I: self._step_i, _Z: self.z.step, _F: self._step_puts}
+
+    # -- host side ---------------------------------------------------------
+    def start(self) -> None:
+        # The parser starts taking cmds when this event fires, not here:
+        # cmds put before then wait and count against the FIFO's depth.
+        kick = Event(self.env)
+        kick.callbacks.append(self._kick)
+        kick.succeed()
+
+    def _kick(self, _event: Any) -> None:
+        self.started = True
+        self.p_free = self.env._now
+        self._step_p()
+        self._pump()
+
+    def put(self, cmd: DecodeCmd) -> Event:
+        """Admit ``cmd`` at max(now, start_P(n - depth)); the returned
+        event fires at the admission."""
+        env = self.env
+        event = Event(env)
+        if self.puts:
+            self.puts.append((cmd, env._now, event))
+            return event
+        room = self.p_starts.at(self.admitted - self.depth)
+        if room is None:
+            self.puts.append((cmd, env._now, event))
+            return event
+        now = env._now
+        self._admit(cmd, now, room if room > now else now, event)
+        self._step_p()
+        if self.dirty:
+            self._pump()
+        return event
+
+    def try_put(self, cmd: DecodeCmd) -> bool:
+        if self.puts:
+            return False
+        room = self.p_starts.at(self.admitted - self.depth)
+        now = self.env._now
+        if room is None or room > now:
+            return False
+        self._admit(cmd, now, now, None)
+        self._step_p()
+        if self.dirty:
+            self._pump()
+        return True
+
+    def _admit(self, cmd: DecodeCmd, called: float, at: float,
+               event: Optional[Event]) -> None:
+        self.admitted += 1
+        self.p_q.append((cmd, at, called))
+        if self.monitored:
+            self.adm_times.append(at)
+        if event is not None:
+            if at == self.env._now:
+                event.succeed()
+            else:
+                event._state = TRIGGERED
+                _schedule_at(self.env, at, event)
+
+    def _step_puts(self) -> None:
+        puts = self.puts
+        while puts:
+            # Room at the parser start of the cmd ``depth`` places ahead.
+            room = self.p_starts.at(self.admitted - self.depth)
+            if room is None:
+                break
+            cmd, called, event = puts.popleft()
+            now = self.env._now
+            self._admit(cmd, called, room if room > now else now, event)
+        self._step_p()
+
+    def waiting(self) -> int:
+        """Cmds admitted by now that the parser has not started."""
+        now = self.env._now
+        self._settle_takes()
+        return (sum(1 for _, at, _ in self.p_q if at <= now)
+                + sum(1 for _, at, _ in self.takes if at <= now))
+
+    def _settle_takes(self) -> None:
+        """Retire the parser takes due by now; under a registry, apply
+        each to the FIFO's monitors as the channel's take would."""
+        takes = self.takes
+        now = self.env._now
+        if not takes or takes[0][0] > now or self._settling:
+            return
+        fifo = self.fifo
+        if fifo.occupancy is None:
+            while takes and takes[0][0] <= now:
+                takes.popleft()
+            return
+        self._settling = True
+        try:
+            adm = self.adm_times
+            while takes and takes[0][0] <= now:
+                start, _, called = takes.popleft()
+                while adm and adm[0] <= start:
+                    adm.popleft()
+                    self.fifo_in += 1
+                self.fifo_out += 1
+                fifo.wait.record(start - called)
+                fifo.occupancy._set_at(start, self.fifo_in - self.fifo_out)
+        finally:
+            self._settling = False
+
+    def _count_admission(self) -> None:
+        """The monitors' side of an admitted put, as the channel's."""
+        self._settle_takes()
+        now = self.env._now
+        adm = self.adm_times
+        while adm and adm[0] <= now:
+            adm.popleft()
+            self.fifo_in += 1
+        self.fifo.occupancy._set_at(now, self.fifo_in - self.fifo_out)
+
+    # -- the recursion -----------------------------------------------------
+    def _pump(self) -> None:
+        """Run the stages marked dirty until none is; each advances as
+        far as its inputs are determined."""
+        steps = self._steps
+        dirty = self.dirty
+        while dirty:
+            low = dirty & -dirty
+            self.dirty = dirty ^ low
+            steps[low]()
+            dirty = self.dirty
+
+    def _step_p(self) -> None:
+        if not self.started:
+            return
+        q = self.p_q
+        unit = self.mirror.parser
+        due = unit._due
+        while True:
+            held = self.p_held
+            if held is not None:
+                need = self.r_starts.at(self.p_n - 1 - self.depth)
+                if need is None:
+                    return
+                cmd, end = held
+                leave = end if end >= need else need
+                self.p_held = None
+                self.p_free = leave
+                self.r_q.append((cmd, leave))
+                self._step_r()
+            if not q:
                 return
-        self._on_finished(way)
+            cmd, at, called = q.popleft()
+            free = self.p_free
+            start = at if at >= free else free
+            self.p_starts.times.append(start)
+            if self.puts:
+                self.dirty |= _F
+            now = self.env._now
+            if start > now or self.monitored:
+                # A take ahead of the clock: ``len`` and the FIFO's
+                # monitors see it when the clock gets there.
+                takes = self.takes
+                takes.append((start, at, called))
+                if takes[0][0] <= now:
+                    self._settle_takes()
+            end = start + self.s_parse
+            if len(due) >= _SETTLE_AT:
+                unit._settle()
+            due.append((start, end))
+            if unit.tracer is not None:
+                unit.tracer.span_at("service", f"{unit.name}[0]", start, end)
+            if cmd.trace is not None:
+                mark_cmd_at(cmd, start, "fpga.parser", "service")
+                mark_cmd_at(cmd, end, "fpga.queue", "wait")
+            self.p_held = (cmd, end)
+            self.p_n += 1
 
-    def _finish(self, way: int) -> bool:
-        cmd = self._held[way]
-        self._held[way] = None
-        self.mirror.decoded.add()
-        return self._forward(way, FinishRecord(
-            cmd_id=cmd.cmd_id, batch_tag=cmd.batch_tag,
-            dest_phy=cmd.dest_phy, dest_offset=cmd.dest_offset,
-            out_bytes=cmd.out_bytes, finished_at=self.env.now))
+    def _step_r(self) -> None:
+        q = self.r_q
+        while True:
+            held = self.r_held
+            if held is not None:
+                need = self.h.starts.at(self.r_n - 1 - self.depth)
+                if need is None:
+                    return
+                cmd, end = held
+                leave = end if end >= need else need
+                self.r_held = None
+                self.r_free = leave
+                h = self.h
+                h.q.append((cmd, leave))
+                if h.idle:
+                    h.step()
+            if not q or self.r_reading is not None:
+                return
+            cmd, at = q.popleft()
+            free = self.r_free
+            start = at if at >= free else free
+            self.r_starts.times.append(start)
+            self.r_n += 1
+            if self.p_held is not None:
+                self.dirty |= _P
+            source = cmd.source
+            if source == "dram":
+                # DMA read from host memory (data landed there via NIC).
+                end = start + cmd.size_bytes / self.dma_rate
+            elif source == "disk":
+                if self.mirror.disk is not None:
+                    # The shared disk takes the read at its start time.
+                    self.r_reading = cmd
+                    if start > self.env._now:
+                        _schedule_at(self.env, start, self.r_wake)
+                    else:
+                        self._issue_read()
+                    continue
+                end = start + cmd.size_bytes / self.nvme_rate
+            else:
+                raise ValueError(f"unknown source {source!r}")
+            if cmd.trace is not None:
+                mark_cmd_at(cmd, start, "fpga.fetch", "service")
+                mark_cmd_at(cmd, end, "fpga.queue", "wait")
+            self.r_held = (cmd, end)
+
+    def _issue_read(self) -> None:
+        cmd = self.r_reading
+        mark_cmd(cmd, "fpga.fetch", "service")
+        try:
+            self.mirror.disk.read_then(cmd.size_bytes, self._read_event)
+        except NvmeReadError as exc:
+            # Forward the cmd anyway: the host learns of the failure
+            # from the error FINISH record, not a hang.
+            cmd.error = f"NvmeReadError: {exc}"
+            self._read_done()
+
+    def _read_at_start(self, _arg: Any) -> None:
+        self._issue_read()
+        self._step_r()
+        self._pump()
+
+    def _read_done(self) -> None:
+        """The read ended now: the DataReader holds its cmd."""
+        cmd = self.r_reading
+        mark_cmd(cmd, "fpga.queue", "wait")
+        self.r_held = (cmd, self.env._now)
+        self.r_reading = None
+
+    def _read_event(self, _value: Any) -> None:
+        self._read_done()
+        self._step_r()
+        self._pump()
+
+    def _step_i(self) -> None:
+        q = self.i_q
+        while True:
+            held = self.i_held
+            if held is not None:
+                need = self.z.starts.at(self.i_n - 1 - self.depth)
+                if need is None:
+                    return
+                cmd, end = held
+                leave = end if end >= need else need
+                self.i_held = None
+                self.i_free = leave
+                z = self.z
+                z.q.append((cmd, leave))
+                if z.idle:
+                    z.step()
+            if not q:
+                return
+            cmd, at = q.popleft()
+            free = self.i_free
+            start = at if at >= free else free
+            self.i_starts.times.append(start)
+            self.i_n += 1
+            if self.h.blocked:
+                self.dirty |= _H
+            duration = cmd.work_pixels / self.idct_rate
+            if duration < 0:
+                raise ValueError(
+                    f"{self.mirror.idct.name}: negative service time")
+            end = start + duration
+            unit = self.mirror.idct
+            due = unit._due
+            if len(due) >= _SETTLE_AT:
+                unit._settle()
+            due.append((start, end))
+            if unit.tracer is not None:
+                unit.tracer.span_at("service", f"{unit.name}[0]", start, end)
+            if cmd.trace is not None:
+                mark_cmd_at(cmd, start, "fpga.idct", "service")
+                mark_cmd_at(cmd, end, "fpga.queue", "wait")
+            if self.functional:
+                cmd = self.mirror._idct_fn(cmd)
+            self.i_held = (cmd, end)
+
+    def _step_d(self) -> None:
+        q = self.d_q
+        mirror = self.mirror
+        env = self.env
+        while q and self.d_cmd is None:
+            # The DMA way is free and the cmd has arrived, both by now:
+            # it starts now.
+            cmd, _ = q.popleft()
+            now = env._now
+            self.d_starts.times.append(now)
+            if self.z.blocked:
+                self.dirty |= _Z
+            if cmd.trace is not None:
+                mark_cmd(cmd, "fpga.dma", "service")
+            if cmd.error is not None:
+                # No pixels to move; raise an error FINISH immediately
+                # so the host can release the slot.
+                mirror.decode_errors.add()
+                mirror.finish_queue.offer(FinishRecord(
+                    cmd.cmd_id, cmd.batch_tag, cmd.dest_phy,
+                    cmd.dest_offset, 0, now, "error", cmd.error))
+                continue
+            nbytes = cmd.out_bytes
+            if nbytes <= 0:
+                raise ValueError(f"dma size must be positive, got {nbytes}")
+            # The busy tracker is held with the cmd: a mirror swapped
+            # out mid-write still credits the device it started on.
+            busy = mirror.device.dma_busy if mirror.device is not None \
+                else None
+            self.d_tok = busy.begin("dma") if busy is not None else None
+            self.d_busy = busy
+            self.d_cmd = cmd
+            self.d_bytes = nbytes
+            self.d_stalled = False
+            _schedule_at(env, now + nbytes / self.dma_rate, self.d_wake)
+
+    def _d_done(self, _arg: Any) -> None:
+        cmd = self.d_cmd
+        mirror = self.mirror
+        env = self.env
+        if not self.d_stalled:
+            if self.d_busy is not None:
+                self.d_busy.end(self.d_tok)
+            if mirror.functional and cmd.result is not None \
+                    and mirror.host_pool is not None:
+                unit = mirror.host_pool.unit_by_phy(cmd.dest_phy)
+                unit.write(cmd.dest_offset, cmd.result)
+            if mirror.injector is not None:
+                stall = mirror.injector.finish_stall_s(mirror.site)
+                if stall > 0.0:
+                    self.d_stalled = True
+                    _schedule_at(env, env._now + stall, self.d_wake)
+                    return
+        self.d_cmd = self.d_busy = self.d_tok = None
+        mirror.decoded.add()
+        mirror.finish_queue.offer(FinishRecord(
+            cmd.cmd_id, cmd.batch_tag, cmd.dest_phy, cmd.dest_offset,
+            self.d_bytes, env._now))
+        if self.d_q:
+            self._step_d()
+            self._pump()
+
+
+class _Ways:
+    """A multi-way evented stage (Huffman, resizer).
+
+    Cmds start in arrival order; each takes the idle way that freed
+    first.  Idle ways sit on a heap ranked ``(time, kind, order)``: at
+    equal times a way freed by its own completion (kind 0, in completion
+    order) precedes one released by the stage downstream (kind 1, in
+    release order), as their events run.  The kick parks every way at
+    once, in way order.
+    """
+
+    def __init__(self, tandem: _Tandem, unit: _Stage, transform, service,
+                 down_starts: _Starts, down_q: deque, down_step,
+                 up_bit: int, up_held: str):
+        self.tandem = tandem
+        self.unit = unit
+        unit._ways = self
+        self.closed = unit.stats.busy._busy
+        self.items = unit.stats.items
+        self.per_way = unit.stats._per_way
+        self.transform = transform
+        self.service = service
+        self.down_starts = down_starts
+        self.down_q = down_q
+        self.down_step = down_step
+        self.up_bit = up_bit
+        # The upstream stage's held-cmd attribute on the tandem: a start
+        # here can only unblock a cmd held there.
+        self.up_held = up_held
+        ways = unit.ways
+        self.q: deque = deque()
+        self.starts = _Starts()
+        self.idle: list = [(_NONE_AHEAD, 0, w, w) for w in range(ways)]
+        self.cmd: list = [None] * ways
+        self.start: list = [0.0] * ways
+        self.end: list = [0.0] * ways
+        self.tok: list = [0] * ways         # start order, for reads
+        self.next_tok = 0
+        self.wakes = [_Wake(self.finish, w) for w in range(ways)]
+        self.blocked: deque = deque()       # (way, cmd, end, index)
+        self.out = 0                        # downstream index of the next
+        self.order = ways
+
+    def step(self) -> None:
+        """Release blocked ways and start queued cmds, as far as known."""
+        tandem = self.tandem
+        blocked = self.blocked
+        idle = self.idle
+        if blocked:
+            depth = tandem.depth
+            while blocked:
+                way, cmd, end, k = blocked[0]
+                need = self.down_starts.at(k - depth)
+                if need is None:
+                    break
+                blocked.popleft()
+                leave = end if end >= need else need
+                heappush(idle, (leave, 1, self.order, way))
+                self.order += 1
+                self.down_q.append((cmd, leave))
+                self.down_step()
+        q = self.q
+        if not q or not idle:
+            return
+        env = tandem.env
+        busy = self.cmd
+        starts = self.starts.times
+        while q and idle:
+            at, kind, _, way = idle[0]
+            if kind and any(c is not None and e == at
+                            for c, e in zip(busy, self.end)):
+                # A busy way ending at this release may free ahead of it.
+                break
+            heappop(idle)
+            cmd, arrive = q.popleft()
+            start = arrive if arrive >= at else at
+            starts.append(start)
+            duration = self.service(cmd)
+            if duration < 0:
+                raise ValueError(f"{self.unit.name}: negative service time")
+            end = start + duration
+            busy[way] = cmd
+            self.start[way] = start
+            self.end[way] = end
+            self.tok[way] = self.next_tok
+            self.next_tok += 1
+            if cmd.trace is not None:
+                mark_cmd_at(cmd, start, self.unit._trace_stage, "service")
+            _schedule_at(env, end, self.wakes[way])
+        if getattr(tandem, self.up_held) is not None:
+            tandem.dirty |= self.up_bit
+
+    def finish(self, way: int) -> None:
+        """The completion event of ``way``'s service: credit it as a
+        PipelineUnit does, transform the cmd, then hand it on in
+        completion order or hold the way until the next stage has room.
+        """
+        tandem = self.tandem
+        cmd = self.cmd[way]
+        self.cmd[way] = None
+        unit = self.unit
+        now = tandem.env._now
+        start = self.start[way]
+        closed = self.closed
+        name = unit.name
+        closed[name] = closed.get(name, 0.0) + (now - start)
+        self.items.total += 1.0
+        self.per_way[way] += 1
+        if unit.tracer is not None:
+            unit.tracer.span_at("service", f"{name}[{way}]", start, now)
+        if self.transform is not None:
+            cmd = self.transform(cmd)
+        if cmd.trace is not None:
+            mark_cmd(cmd, "fpga.queue", "wait")
+        k = self.out
+        self.out = k + 1
+        need = None if self.blocked else self.down_starts.at(k - tandem.depth)
+        if need is None:
+            self.blocked.append((way, cmd, now, k))
+        else:
+            if need <= now:
+                heappush(self.idle, (now, 0, self.order, way))
+                self.down_q.append((cmd, now))
+            else:
+                heappush(self.idle, (need, 1, self.order, way))
+                self.down_q.append((cmd, need))
+            self.order += 1
+            self.down_step()
+        if self.q:
+            self.step()
+        if tandem.dirty:
+            tandem._pump()
 
 
 class ImageDecoderMirror:
@@ -244,48 +1071,21 @@ class ImageDecoderMirror:
         rw = resizer_ways if resizer_ways is not None \
             else testbed.fpga_resizer_ways
 
-        depth = testbed.fpga_queue_depth
-        self.cmd_queue = Channel(env, capacity=depth, name=f"{name}.fifo")
-        self._fetch_q = Channel(env, capacity=depth, name=f"{name}.fetch")
-        self._huff_q = Channel(env, capacity=depth, name=f"{name}.huff")
-        self._idct_q = Channel(env, capacity=depth, name=f"{name}.idct")
-        self._resize_q = Channel(env, capacity=depth, name=f"{name}.resize")
-        self._dma_q = Channel(env, capacity=depth, name=f"{name}.dma")
+        self.parser = _Stage(env, f"{name}.parser", 1,
+                             CLB_COSTS["parser"], folded=True)
+        self.huffman = _Stage(env, f"{name}.huffman", hw,
+                              CLB_COSTS["huffman"], folded=False)
+        self.idct = _Stage(env, f"{name}.idct", 1, CLB_COSTS["idct"],
+                           folded=True)
+        self.resizer = _Stage(env, f"{name}.resizer", rw,
+                              CLB_COSTS["resizer"], folded=False)
+        self._units = [self.parser, self.huffman, self.idct, self.resizer]
+        self._tandem = _Tandem(self)
+        self.cmd_queue = _CmdFifo(self._tandem, f"{name}.fifo")
         self.finish_queue = Channel(env, capacity=float("inf"),
                                     name=f"{name}.finish")
         self.decoded = Counter(env, name=f"{name}.decoded")
         self.decode_errors = Counter(env, name=f"{name}.errors")
-
-        tb = testbed
-        self.parser = PipelineUnit(
-            env, f"{name}.parser", ways=1,
-            service_time=lambda cmd: tb.fpga_cmd_overhead_s,
-            inbox=self.cmd_queue, outbox=self._fetch_q,
-            clb_cost_per_way=CLB_COSTS["parser"])
-        self.huffman = PipelineUnit(
-            env, f"{name}.huffman", ways=hw,
-            service_time=lambda cmd: cmd.size_bytes / tb.fpga_huffman_byte_rate,
-            inbox=self._huff_q, outbox=self._idct_q,
-            transform=self._huffman_fn,
-            clb_cost_per_way=CLB_COSTS["huffman"])
-        self.idct = PipelineUnit(
-            env, f"{name}.idct", ways=1,
-            service_time=lambda cmd: cmd.work_pixels / tb.fpga_idct_pixel_rate,
-            inbox=self._idct_q, outbox=self._resize_q,
-            transform=self._idct_fn,
-            clb_cost_per_way=CLB_COSTS["idct"])
-        self.resizer = PipelineUnit(
-            env, f"{name}.resizer", ways=rw,
-            # Output-driven decimating resizer: line buffers stream the
-            # decoded rows through, so cost scales with *output* pixels.
-            service_time=lambda cmd: (
-                cmd.out_pixels / tb.fpga_resizer_pixel_rate),
-            inbox=self._resize_q, outbox=self._dma_q,
-            transform=self._resize_fn,
-            clb_cost_per_way=CLB_COSTS["resizer"])
-        self._units = [self.parser, self.huffman, self.idct, self.resizer]
-        self.reader = DataReader(self)
-        self.dma = DmaWriter(self)
         self._started = False
 
     # -- fidelity-dependent stage bodies ---------------------------------
@@ -336,10 +1136,7 @@ class ImageDecoderMirror:
         if self._started:
             return
         self._started = True
-        for unit in self._units:
-            unit.start()
-        self.reader.start()
-        self.dma.start()
+        self._tandem.start()
 
     # -- analysis ------------------------------------------------------------
     def stage_utilizations(self) -> dict[str, float]:

@@ -55,6 +55,18 @@ def total_events_processed() -> int:
     return _total_events
 
 
+def _schedule_at(env: "Environment", when: float, entry: Any) -> None:
+    """Queue ``entry`` to run at absolute time ``when``.
+
+    ``entry`` is anything with a ``_run_callbacks()`` method: a
+    triggered :class:`Event`, or a reusable wake-up object that a
+    callback-driven actor pushes again for each of its services, so a
+    service costs one heap entry and no fresh event.  ``when`` must not
+    be earlier than ``env.now``.
+    """
+    heapq.heappush(env._queue, (when, next(env._eid), entry))
+
+
 class Event:
     """A happening at a point in simulated time.
 

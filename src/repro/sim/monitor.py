@@ -230,15 +230,16 @@ class LatencyRecorder:
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
         self.name = name
-        # Below the cap, entries are appended and sorted lazily (on
-        # first read, or when the cap is reached); past the cap the list
-        # is kept sorted by the reservoir replacement.  Sorting is
-        # deferred work, not different work: entry tuples are unique
-        # (the arrival index breaks ties), so sorted content — and with
-        # it every percentile, exemplar and eviction decision — is
-        # identical to eager insort.
+        # Below the cap, entries are appended to an unsorted tail and
+        # folded into the sorted prefix lazily (on a read, when the cap
+        # is reached, before a merge or a pickle); past the cap the
+        # prefix is kept sorted by the reservoir replacement and the
+        # tail stays empty.  Sorting is deferred work, not different
+        # work: entry tuples are unique (the arrival index breaks ties),
+        # so sorted content — and with it every percentile, exemplar and
+        # eviction decision — is identical to eager insort.
         self._sorted: list[tuple[float, int, Optional[int]]] = []
-        self._dirty = False
+        self._tail: list[tuple[float, int, Optional[int]]] = []
         self._count = 0
         self._sum = 0.0
         # Own-stream sums of recorders folded in via merge(), kept as
@@ -254,9 +255,24 @@ class LatencyRecorder:
         _autoregister(self)
 
     def _flush(self) -> None:
-        if self._dirty:
-            self._sorted.sort()
-            self._dirty = False
+        tail = self._tail
+        if not tail:
+            return
+        reservoir = self._sorted
+        if 16 * len(tail) < len(reservoir):
+            # A short tail costs its own sort plus one binary search
+            # each, not a pass over the whole prefix.
+            tail.sort()
+            for entry in tail:
+                insort(reservoir, entry)
+        else:
+            reservoir.extend(tail)
+            reservoir.sort()
+        self._tail = []
+
+    def __getstate__(self) -> dict:
+        self._flush()
+        return self.__dict__
 
     def record(self, latency: float, trace_id: Optional[int] = None) -> None:
         if latency < 0:
@@ -269,10 +285,11 @@ class LatencyRecorder:
             self._max = latency
         entry = (latency, self._count, trace_id)
         reservoir = self._sorted
-        if len(reservoir) < self._max_samples:
-            reservoir.append(entry)
-            self._dirty = True
-            if len(reservoir) == self._max_samples:
+        tail = self._tail
+        kept = len(reservoir) + len(tail)
+        if kept < self._max_samples:
+            tail.append(entry)
+            if kept + 1 == self._max_samples:
                 self._flush()       # reservoir phase needs sorted order
             return
         # Algorithm R: keep the newcomer with probability cap/count,
@@ -291,13 +308,13 @@ class LatencyRecorder:
     @property
     def sample_count(self) -> int:
         """Samples currently retained (== count while below the cap)."""
-        return len(self._sorted)
+        return len(self._sorted) + len(self._tail)
 
     @property
     def is_exact(self) -> bool:
         """True while every recorded value is retained, i.e. percentiles
         are exact order statistics rather than reservoir estimates."""
-        return self._count == len(self._sorted)
+        return self._count == self.sample_count
 
     @property
     def samples(self) -> tuple[float, ...]:
@@ -394,7 +411,6 @@ class LatencyRecorder:
             del combined[cap:]
         combined.sort()
         self._sorted = combined
-        self._dirty = False
 
     def total(self) -> float:
         """Exact sum of every recorded latency (own stream plus merged
@@ -413,9 +429,9 @@ class LatencyRecorder:
         estimate beyond it)."""
         if not 0 <= q <= 100:
             raise ValueError(f"percentile {q} outside [0, 100]")
+        self._flush()
         if not self._sorted:
             return math.nan
-        self._flush()
         n = len(self._sorted)
         pos = (q / 100.0) * (n - 1)
         lo = int(math.floor(pos))

@@ -22,6 +22,13 @@ each travelling :class:`~repro.fpga.DecodeCmd` carries the epoch it was
 created under.  :func:`mark_cmd` only marks when the epochs match, so a
 ghost cmd — one that was declared lost but is still crawling through
 the mirror — can never scribble stages onto a trace that has moved on.
+
+A model that computes a stage's times before the clock reaches them
+(the decoder's folded stages) queues its marks with :func:`mark_cmd_at`.
+Queued marks are applied in time order, up to the current time, when
+the trace is marked, finished or read, so the segments come out exactly
+as if each mark had run at its own time.  An epoch change applies the
+queued marks already due and drops the rest: they belong to the ghost.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-__all__ = ["Segment", "RequestTrace", "mark_cmd", "trace_of"]
+__all__ = ["Segment", "RequestTrace", "mark_cmd", "mark_cmd_at",
+           "trace_of"]
 
 WAIT = "wait"
 SERVICE = "service"
@@ -57,7 +65,7 @@ class RequestTrace:
     """The causal context of one request/item, propagated by reference."""
 
     __slots__ = ("trace_id", "started_at", "finished_at", "status",
-                 "segments", "baggage", "attempt",
+                 "_segments", "baggage", "_attempt", "_queued",
                  "_now", "_on_finish", "_stage", "_kind", "_open_at")
 
     def __init__(self, now_fn: Callable[[], float], stage: str,
@@ -70,9 +78,11 @@ class RequestTrace:
         self.started_at = now
         self.finished_at: Optional[float] = None
         self.status: Optional[str] = None
-        self.segments: list[Segment] = []
+        self._segments: list[Segment] = []
         self.baggage = baggage
-        self.attempt = 0
+        self._attempt = 0
+        # Marks queued at computed times, in time order (mark_at).
+        self._queued: list[tuple[float, str, str]] = []
         self._stage = stage
         self._kind = kind
         self._open_at = now
@@ -81,7 +91,28 @@ class RequestTrace:
     @property
     def current_stage(self) -> str:
         """Where the request is *right now* (or was when it finished)."""
+        if self._queued:
+            self._apply_due(self._now())
         return self._stage
+
+    @property
+    def segments(self) -> list[Segment]:
+        if self._queued:
+            self._apply_due(self._now())
+        return self._segments
+
+    @property
+    def attempt(self) -> int:
+        return self._attempt
+
+    @attempt.setter
+    def attempt(self, value: int) -> None:
+        # A new epoch: the marks already due happened under the old one;
+        # the rest belong to a ghost cmd and never happen.
+        if self._queued:
+            self._apply_due(self._now())
+            self._queued.clear()
+        self._attempt = value
 
     @property
     def is_finished(self) -> bool:
@@ -89,8 +120,24 @@ class RequestTrace:
 
     def _close_segment(self, now: float) -> None:
         if now > self._open_at:      # zero-length segments add nothing
-            self.segments.append(
+            self._segments.append(
                 Segment(self._stage, self._kind, self._open_at, now))
+
+    def _move(self, at: float, stage: str, kind: str) -> None:
+        self._close_segment(at)
+        self._stage = stage
+        self._kind = kind
+        self._open_at = at
+
+    def _apply_due(self, now: float) -> None:
+        queued = self._queued
+        due = 0
+        for at, stage, kind in queued:
+            if at > now:
+                break
+            self._move(at, stage, kind)
+            due += 1
+        del queued[:due]
 
     def mark(self, stage: str, kind: str) -> None:
         """Advance the cursor: close the open segment at the current sim
@@ -99,10 +146,16 @@ class RequestTrace:
         if self.finished_at is not None:
             return
         now = self._now()
-        self._close_segment(now)
-        self._stage = stage
-        self._kind = kind
-        self._open_at = now
+        if self._queued:
+            self._apply_due(now)
+        self._move(now, stage, kind)
+
+    def mark_at(self, at: float, stage: str, kind: str) -> None:
+        """Queue a mark for time ``at``, which may lie ahead of the
+        clock; marks must be queued in time order."""
+        if self.finished_at is not None:
+            return
+        self._queued.append((at, stage, kind))
 
     def finish(self, status: str = "ok") -> None:
         """Seal the trace: close the open segment, stamp the outcome and
@@ -110,6 +163,9 @@ class RequestTrace:
         if self.finished_at is not None:
             return
         now = self._now()
+        if self._queued:
+            self._apply_due(now)
+            self._queued.clear()
         self._close_segment(now)
         self.finished_at = now
         self.status = status
@@ -129,6 +185,8 @@ class RequestTrace:
 
     def summary(self) -> dict:
         """A flat dict snapshot (flight recorder / post-mortem payload)."""
+        if self._queued:
+            self._apply_due(self._now())
         return {
             "trace_id": self.trace_id,
             "status": self.status if self.status is not None else "active",
@@ -145,7 +203,7 @@ class RequestTrace:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = self.status if self.status is not None else "active"
         return (f"RequestTrace(id={self.trace_id}, {state}, "
-                f"stage={self._stage!r}, segments={len(self.segments)})")
+                f"stage={self._stage!r}, segments={len(self._segments)})")
 
 
 def trace_of(item) -> Optional[RequestTrace]:
@@ -173,3 +231,14 @@ def mark_cmd(cmd, stage: str, kind: str) -> None:
     if getattr(cmd, "trace_attempt", 0) != trace.attempt:
         return
     trace.mark(stage, kind)
+
+
+def mark_cmd_at(cmd, at: float, stage: str, kind: str) -> None:
+    """:func:`mark_cmd` for a mark computed ahead of the clock: queued on
+    the trace at time ``at`` under the same epoch rule."""
+    trace = getattr(cmd, "trace", None)
+    if trace is None or trace.finished_at is not None:
+        return
+    if getattr(cmd, "trace_attempt", 0) != trace.attempt:
+        return
+    trace.mark_at(at, stage, kind)

@@ -1,4 +1,5 @@
-"""Shared pytest configuration: a pytest-timeout fallback shim.
+"""Shared pytest configuration: a pytest-timeout fallback shim and the
+hypothesis profiles.
 
 Supervision tests exercise watchdogs and shutdown paths where the
 failure mode of a regression is a *hang*, not an assertion — so they
@@ -6,6 +7,10 @@ carry ``@pytest.mark.timeout(n)``.  CI installs pytest-timeout and runs
 with ``--timeout``; on dev boxes without the plugin this shim honors
 the same marker via SIGALRM, so a deadlock still fails the test in
 seconds instead of wedging the whole suite.
+
+Property tests run under hypothesis' default profile.  The ``deep``
+profile searches far more examples; select it with
+``--hypothesis-profile=deep``.
 """
 
 from __future__ import annotations
@@ -13,6 +18,13 @@ from __future__ import annotations
 import signal
 
 import pytest
+
+try:
+    from hypothesis import settings
+except ImportError:         # hypothesis is a dev dependency
+    pass
+else:
+    settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 def _timeout_plugin_loaded(config) -> bool:

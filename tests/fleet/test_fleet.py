@@ -1,14 +1,17 @@
 """Fleet integration: conservation ledgers and same-seed determinism
 across every routing policy."""
 
+import bisect
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.calib import DEFAULT_TESTBED
 from repro.fleet import (ROUTING_POLICIES, Host, HostConfig, LoadBalancer,
-                         OpenLoopSource, fleet_rollup, make_policy)
+                         OpenLoopSource, fleet_rollup, make_policy,
+                         zipf_weights)
 from repro.sim import Environment, SeedBank
 from repro.supervision import SupervisionConfig
 
@@ -125,3 +128,45 @@ def test_open_loop_source_set_rate_rejects_bad_rate(rate):
         source.set_rate(rate)
         env.run(until=0.01)
     assert source.rate == 1000.0
+
+
+class _Recorder:
+    """A stand-in balancer that keeps every routed request."""
+
+    def __init__(self):
+        self.routed = []
+
+    def route(self, request):
+        self.routed.append(request)
+
+
+@pytest.mark.parametrize("clients,skew", [(1, 0.0), (8, 0.8), (16, 1.1),
+                                          (32, 0.0), (5, 2.5)])
+def test_open_loop_client_pick_matches_searchsorted(clients, skew):
+    env = Environment()
+    balancer = _Recorder()
+    source = OpenLoopSource(
+        env, balancer, rate=1e5, image_hw=DEFAULT_TESTBED.client_image_hw,
+        rng=np.random.default_rng(7), num_clients=clients, skew=skew,
+        size_sampler=lambda rng: 1000)
+    source.start()
+    env.run(until=0.02)
+    draws = np.random.default_rng(7).random(len(balancer.routed))
+    cdf = np.cumsum(zipf_weights(clients, skew))
+    expected = np.searchsorted(cdf, draws, side="right")
+    assert len(balancer.routed) > 1000
+    assert [r.client_id for r in balancer.routed] == expected.tolist()
+
+
+def test_open_loop_cdf_top_maps_to_the_last_client():
+    # At 16 clients and skew 1.1 the cumulative sum ends below 1.0, so a
+    # draw between that last entry and 1.0 once named client 16.
+    cdf = np.cumsum(zipf_weights(16, 1.1))
+    assert cdf[-1] < 1.0
+    source = OpenLoopSource(
+        Environment(), _Recorder(), rate=1.0,
+        image_hw=DEFAULT_TESTBED.client_image_hw,
+        rng=np.random.default_rng(0), num_clients=16, skew=1.1)
+    assert source._cdf[-1] == 1.0
+    for draw in (float(cdf[-1]), np.nextafter(1.0, 0.0)):
+        assert bisect.bisect_right(source._cdf, draw) == 15

@@ -6,6 +6,7 @@ from repro.calib import DEFAULT_TESTBED
 from repro.faults import FaultInjector, FaultPlan
 from repro.fpga import DecodeCmd, FpgaDevice, FPGAChannel, ImageDecoderMirror
 from repro.sim import Environment, SeedBank
+from repro.storage import NvmeDisk
 
 
 def make_stack(plan=None, seed=0, **channel_kwargs):
@@ -151,3 +152,42 @@ def test_empty_plan_injector_matches_no_injector_timing():
         return env.now
 
     assert completion_time(None) == completion_time(FaultPlan())
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_disk_read_through_the_shared_nvme_disk(fail):
+    # A disk-sourced cmd is read through the NvmeDisk at its start; a
+    # read the disk refuses still finishes, as an error FINISH without a
+    # read or a DMA write.
+    tb = DEFAULT_TESTBED
+    env = Environment()
+    plan = FaultPlan.of(FaultPlan.nvme_error(1.0 if fail else 0.0))
+    disk = NvmeDisk(env, tb, injector=FaultInjector(env, plan,
+                                                    seeds=SeedBank(0)))
+    mirror = ImageDecoderMirror(env, tb, disk=disk)
+    FpgaDevice(env, tb).load_mirror(mirror)
+    channel = FPGAChannel(env, mirror)
+    cmd = std_cmd(0)
+    cmd.source = "disk"
+    done = []
+
+    def go(env):
+        yield from channel.submit_cmd(cmd)
+        done.append((yield from channel.wait_one()))
+
+    env.run(until=env.process(go(env)))
+    [record] = done
+    decode = (tb.fpga_cmd_overhead_s + 110_000 / tb.fpga_huffman_byte_rate
+              + int(375 * 500 * 1.5) / tb.fpga_idct_pixel_rate
+              + 224 * 224 / tb.fpga_resizer_pixel_rate)
+    if fail:
+        assert record.status == "error"
+        assert record.error.startswith("NvmeReadError")
+        assert record.finished_at == pytest.approx(decode)
+        assert disk.read_errors.total == 1
+    else:
+        assert record.status == "ok"
+        assert record.finished_at == pytest.approx(
+            decode + tb.nvme_access_latency_s + 110_000 / tb.nvme_read_rate
+            + 224 * 224 * 3 / tb.fpga_dma_rate)
+        assert disk.bytes_read.total == 110_000

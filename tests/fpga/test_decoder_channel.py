@@ -7,7 +7,7 @@ import repro.jpeg
 from repro.calib import DEFAULT_TESTBED
 from repro.data import synthetic_photo
 from repro.faults import FaultInjector, FaultPlan
-from repro.fpga import (DecodeCmd, FpgaDevice, FPGAChannel,
+from repro.fpga import (DecodeCmd, FinishRecord, FpgaDevice, FPGAChannel,
                         ImageDecoderMirror, fpga_init)
 from repro.jpeg import JpegDecodeError, decode_resized, encode
 from repro.memory import MemManager
@@ -126,6 +126,27 @@ def test_drain_out_nonblocking():
     records = channel.drain_out()
     assert len(records) == 1
     assert channel.in_flight == 0
+
+
+def test_submit_leaves_pending_finish_records_to_the_pump():
+    # A FINISH record waiting when a submit runs belongs to the
+    # completion pump: the submit must not consume it.
+    env, device, mirror, channel = make_stack()
+    early = FinishRecord(cmd_id=99, batch_tag=None, dest_phy=0,
+                         dest_offset=0, out_bytes=0, finished_at=0.0)
+    assert mirror.finish_queue.try_put(early)
+    got = []
+
+    def submit(env):
+        yield from channel.submit_cmd(std_cmd(0))
+
+    def pump(env):
+        for _ in range(2):
+            got.append((yield from channel.wait_one()))
+
+    env.run(until=env.process(submit(env)))
+    env.run(until=env.process(pump(env)))
+    assert [rec.cmd_id for rec in got] == [99, 0]
 
 
 def test_try_submit_when_full():

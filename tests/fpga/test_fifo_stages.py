@@ -1,5 +1,5 @@
-"""Tests for the event-driven FIFO stages (``FifoStage``/``PipelineUnit``
-and the decoder's DataReader and DMA stages)."""
+"""Tests for the event-driven FIFO stages (``FifoStage``/``PipelineUnit``)
+and the image decoder built as a FIFO tandem."""
 
 import dataclasses
 import inspect
@@ -52,16 +52,21 @@ def test_poisoned_cmds_finish_in_fifo_order():
 
 
 def test_back_to_back_error_finishes_use_no_stack():
-    # 200 failed cmds queued at the DMA stage before it parks: each is
-    # finished at once and the way pulls the next from inside the same
+    # 200 failed cmds queue at the DMA stage behind one long write (a
+    # one-way resizer keeps them behind it): when it completes, each is
+    # finished at once and the stage pulls the next from inside the same
     # loop, so the run needs a bounded stack however long the backlog.
     env = Environment()
-    mirror = make_mirror(env, dataclasses.replace(DEFAULT_TESTBED,
-                                                  fpga_queue_depth=256))
-    for i in range(200):
-        cmd = dram_cmd(i)
-        cmd.error = "BadHuffmanCodeError: poisoned source (modeled)"
-        assert mirror._dma_q.try_put(cmd)
+    tb = dataclasses.replace(DEFAULT_TESTBED, fpga_queue_depth=256)
+    mirror = ImageDecoderMirror(env, tb, resizer_ways=1)
+    FpgaDevice(env, tb).load_mirror(mirror)
+    for i in range(201):
+        cmd = DecodeCmd(cmd_id=i, source="dram", size_bytes=1,
+                        work_pixels=1, out_h=1, out_w=1, channels=3,
+                        dest_phy=0x4000_0000, dest_offset=0, poisoned=i > 0)
+        if i == 0:
+            cmd.out_h = cmd.out_w = 4000
+        assert mirror.cmd_queue.try_put(cmd)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
@@ -69,9 +74,9 @@ def test_back_to_back_error_finishes_use_no_stack():
     finally:
         sys.setrecursionlimit(limit)
     records = mirror.finish_queue.drain()
-    assert [r.cmd_id for r in records] == list(range(200))
-    assert {r.status for r in records} == {"error"}
-    assert {r.finished_at for r in records} == {0.0}
+    assert [r.cmd_id for r in records] == list(range(201))
+    assert [r.status for r in records] == ["ok"] + ["error"] * 200
+    assert {r.finished_at for r in records} == {records[0].finished_at}
 
 
 def test_zero_service_time_units_chain():
@@ -177,11 +182,11 @@ def test_expired_items_shed_before_an_idle_way_serves_them():
     assert inbox.get_count == 3
 
 
-# A modeled decoder fed N DRAM cmds: one Timeout per stage service (the
-# DMA write included, with no engine grant) and the feeder's and
-# collector's channel events.  A per-hop grant or ack event would add
-# hundreds at N = 100.
-EVENT_BUDGET = {1: 17, 10: 89, 100: 840}
+# A modeled decoder fed N DRAM cmds: per cmd, the feeder's put, one
+# Huffman, one resizer and one DMA-write completion, and the collector's
+# get.  The parser, DataReader and iDCT add none, and no hand-off
+# between stages is an event: one more per cmd would add 100 at N = 100.
+EVENT_BUDGET = {1: 9, 10: 54, 100: 504}
 
 
 def test_event_budget_per_decoded_cmd():

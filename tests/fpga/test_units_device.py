@@ -130,8 +130,8 @@ def test_device_mirror_swap():
     assert first.device is None
 
 
-def write_through_dma_stage(out_h):
-    """Queue one cmd at a bound mirror's DMA stage and run to the end."""
+def write_through_decoder(out_h):
+    """Decode one DRAM cmd on a bound mirror and run to the end."""
     env = Environment()
     device = FpgaDevice(env, DEFAULT_TESTBED)
     mirror = ImageDecoderMirror(env, DEFAULT_TESTBED)
@@ -139,19 +139,27 @@ def write_through_dma_stage(out_h):
     cmd = DecodeCmd(cmd_id=0, source="dram", size_bytes=110_000,
                     work_pixels=281_250, out_h=out_h, out_w=224, channels=3,
                     dest_phy=0x4000_0000, dest_offset=0)
-    assert mirror._dma_q.try_put(cmd)
+    assert mirror.cmd_queue.try_put(cmd)
     env.run()
     return env, device, mirror.finish_queue.drain()
 
 
 def test_device_dma_timing():
-    env, device, [record] = write_through_dma_stage(out_h=224)
+    tb = DEFAULT_TESTBED
+    env, device, [record] = write_through_decoder(out_h=224)
+    write = 224 * 224 * 3 / tb.fpga_dma_rate
+    # One cmd meets no queue: FINISH is the sum of its stage services.
     assert record.finished_at == pytest.approx(
-        224 * 224 * 3 / DEFAULT_TESTBED.fpga_dma_rate)
+        tb.fpga_cmd_overhead_s + 110_000 / tb.fpga_dma_rate
+        + 110_000 / tb.fpga_huffman_byte_rate
+        + 281_250 / tb.fpga_idct_pixel_rate
+        + 224 * 224 / tb.fpga_resizer_pixel_rate + write)
     assert env.now == record.finished_at
-    assert device.dma_utilization() == pytest.approx(1.0)
+    assert device.dma_busy.busy_seconds() == pytest.approx(write)
+    assert device.dma_utilization() == pytest.approx(
+        write / record.finished_at)
 
 
 def test_device_dma_validation():
     with pytest.raises(ValueError):
-        write_through_dma_stage(out_h=0)
+        write_through_decoder(out_h=0)

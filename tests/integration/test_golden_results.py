@@ -5,6 +5,11 @@ Each digest is the SHA-256 of the run's canonical result document
 models must leave every simulated result byte-identical, so these must
 not change; a change that alters simulated results on purpose updates
 them and says why.
+
+Next to each digest is the run's kernel event count.  It is exact for a
+given run on any machine, so a change that adds events fails here even
+when the results stay identical; a change that removes events re-pins
+the count lower and says so.
 """
 
 import dataclasses
@@ -14,6 +19,7 @@ from repro.experiments.chaos_fleet import (default_outlier, default_recovery,
                                           serve_chaos)
 from repro.experiments.fleet import serve_autoscale, serve_fleet
 from repro.faults import FaultPlan
+from repro.sim.core import total_events_processed
 from repro.sweep import canonical_json
 from repro.workflows import (InferenceConfig, TrainingConfig, run_inference,
                              run_training)
@@ -29,29 +35,47 @@ CHAOS_K4_DIGEST = (
 AUTOSCALE_DIGEST = (
     "6fd35490abdbb0923cd0735185f16e8803a4b64b50169242128cf36330d5e3a7")
 
+# Kernel events each run processes.
+FIG7_CELL_EVENTS = 22_843
+TRAINING_20K_EVENTS = 187_184
+FLEET_K4_EVENTS = 37_385
+CHAOS_K4_EVENTS = 54_755
+AUTOSCALE_EVENTS = 135_419
+
 
 def digest(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
+def counted(run):
+    """``run()``'s result and the kernel events it processed."""
+    before = total_events_processed()
+    result = run()
+    return result, total_events_processed() - before
+
+
 def test_fig7_cell_golden_digest():
-    res = run_inference(InferenceConfig(
+    res, events = counted(lambda: run_inference(InferenceConfig(
         model="googlenet", backend="dlbooster", batch_size=32,
-        warmup_s=0.1, measure_s=0.3, seed=0))
+        warmup_s=0.1, measure_s=0.3, seed=0)))
     assert digest(dataclasses.asdict(res)) == FIG7_CELL_DIGEST
+    assert events == FIG7_CELL_EVENTS
 
 
 def test_training_golden_digest():
-    res = run_training(TrainingConfig(
+    res, events = counted(lambda: run_training(TrainingConfig(
         model="alexnet", backend="dlbooster", dataset_size=20_000,
-        warmup_s=0.1, measure_s=0.3, seed=0))
+        warmup_s=0.1, measure_s=0.3, seed=0)))
     assert digest(dataclasses.asdict(res)) == TRAINING_20K_DIGEST
+    assert events == TRAINING_20K_EVENTS
 
 
 def test_fleet_k4_golden_digest():
-    payload = serve_fleet(policy="least-loaded", k=4, overload_x=2.7,
-                          sim_s=0.3, seed=23, degraded_host=2)
+    payload, events = counted(lambda: serve_fleet(
+        policy="least-loaded", k=4, overload_x=2.7, sim_s=0.3, seed=23,
+        degraded_host=2))
     assert digest(payload) == FLEET_K4_DIGEST
+    assert events == FLEET_K4_EVENTS
 
 
 def test_chaos_k4_golden_digest():
@@ -61,12 +85,15 @@ def test_chaos_k4_golden_digest():
     plan = FaultPlan.of(
         FaultPlan.host_hang(0.3 * sim_s, sim_s, "host01", rate=0.8),
         name="gray")
-    payload = serve_chaos(plan=plan, recovery=default_recovery(),
-                          outlier=default_outlier(), k=4, overload_x=2.8,
-                          sim_s=sim_s, seed=47)
+    payload, events = counted(lambda: serve_chaos(
+        plan=plan, recovery=default_recovery(), outlier=default_outlier(),
+        k=4, overload_x=2.8, sim_s=sim_s, seed=47))
     assert digest(payload) == CHAOS_K4_DIGEST
+    assert events == CHAOS_K4_EVENTS
 
 
 def test_autoscale_golden_digest():
-    payload = serve_autoscale(sim_s=1.6, surge=(0.4, 0.9, 3.4))
+    payload, events = counted(lambda: serve_autoscale(
+        sim_s=1.6, surge=(0.4, 0.9, 3.4)))
     assert digest(payload) == AUTOSCALE_DIGEST
+    assert events == AUTOSCALE_EVENTS

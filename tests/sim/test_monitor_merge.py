@@ -195,3 +195,44 @@ def test_exemplar_for_unlinked_merged_reservoir_is_none():
     tgt.merge(src)
     assert tgt.exemplar_for(50) is None
     assert tgt.exemplar_for(99.9) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(min_value=0.0, max_value=1e3,
+                                 allow_nan=False), max_size=120),
+       other=latencies, cap=st.integers(min_value=1, max_value=80))
+def test_reads_between_records_change_nothing(values, other, cap):
+    # Reading after every record() folds a short tail into the sorted
+    # prefix each time; reading once sorts everything at the end.  Both
+    # must leave the same reservoir, percentiles, exemplars and merge.
+    eager = LatencyRecorder(name="r", max_samples=cap)
+    lazy = LatencyRecorder(name="r", max_samples=cap)
+    for i, v in enumerate(values):
+        tid = i if i % 3 == 0 else None     # as build() links them
+        eager.record(v, trace_id=tid)
+        eager.p99()
+        lazy.record(v, trace_id=tid)
+    qs = (0, 25, 50, 99, 100)
+    assert state(eager) == state(lazy)
+    assert eager.sample_count == lazy.sample_count
+    assert eager.is_exact == lazy.is_exact
+    for q in qs:
+        assert (math.isnan(eager.percentile(q))
+                and math.isnan(lazy.percentile(q))) \
+            or eager.percentile(q) == lazy.percentile(q)
+        assert eager.exemplar_for(q) == lazy.exemplar_for(q)
+    src = build("o", other, cap)
+    a, b = copy.deepcopy(eager), copy.deepcopy(lazy)
+    a.merge(copy.deepcopy(src))
+    b.merge(copy.deepcopy(src))
+    assert state(a) == state(b)
+
+
+def test_pickled_recorder_carries_its_tail_sorted():
+    import pickle
+    rec = build("p", [5.0, 1.0, 3.0, 2.0], cap=10)
+    assert rec._tail
+    clone = pickle.loads(pickle.dumps(rec))
+    assert not clone._tail
+    assert clone.samples == (1.0, 2.0, 3.0, 5.0)
+    assert state(clone) == state(rec)
