@@ -42,6 +42,7 @@ class FPGAChannel:
         self.completed = Counter(env, name=f"{name}.completed")
         self.dropped = Counter(env, name=f"{name}.dropped")
         self.outstanding = TimeWeighted(env, 0, name=f"{name}.inflight")
+        self._in_flight = 0
         self._recycled = False
 
     def _lost_in_transit(self) -> bool:
@@ -64,12 +65,12 @@ class FPGAChannel:
         if self._lost_in_transit():
             self.submitted.add()
             self.dropped.add()
-            self._track()
+            self._track(0)
             return
         mark_cmd(cmd, "fpga.fifo", "wait")
         yield from self.mirror.cmd_queue.put(cmd)
         self.submitted.add()
-        self._track()
+        self._track(1)
 
     def try_submit_cmd(self, cmd: DecodeCmd) -> bool:
         """Non-blocking submit; False when the FIFO is full."""
@@ -77,13 +78,13 @@ class FPGAChannel:
         if self._lost_in_transit():
             self.submitted.add()
             self.dropped.add()
-            self._track()
+            self._track(0)
             return True
         ok = self.mirror.cmd_queue.try_put(cmd)
         if ok:
             mark_cmd(cmd, "fpga.fifo", "wait")
             self.submitted.add()
-            self._track()
+            self._track(1)
         return ok
 
     def drain_out(self) -> list[FinishRecord]:
@@ -92,7 +93,7 @@ class FPGAChannel:
         records = self.mirror.finish_queue.drain()
         if records:
             self.completed.add(len(records))
-            self._track()
+            self._track(-len(records))
         return records
 
     def wait_one(self):
@@ -100,7 +101,7 @@ class FPGAChannel:
         self._check()
         record = yield from self.mirror.finish_queue.get()
         self.completed.add()
-        self._track()
+        self._track(-1)
         return record
 
     def recycle(self) -> None:
@@ -111,14 +112,15 @@ class FPGAChannel:
         self._recycled = True
 
     # -- inspection ----------------------------------------------------------
-    def _track(self) -> None:
-        self.outstanding.set(self.in_flight)
+    def _track(self, delta: int) -> None:
+        self._in_flight += delta
+        self.outstanding.set(self._in_flight)
 
     @property
     def in_flight(self) -> int:
-        # Dropped cmds were never in the FIFO: they are lost, not pending.
-        return int(self.submitted.total - self.completed.total
-                   - self.dropped.total)
+        """Submitted minus completed minus dropped cmds: dropped cmds
+        were never in the FIFO; they are lost, not pending."""
+        return self._in_flight
 
     def _check(self) -> None:
         if self._recycled:

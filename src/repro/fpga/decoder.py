@@ -27,14 +27,18 @@ stage S feeding stage T, cmd n's schedule is
 :class:`_Tandem` evaluates this recursion stage by stage and keeps a
 kernel event only where a schedule cannot be known earlier: a Huffman or
 resizer completion (several ways let cmds overtake, so the next stage's
-arrival order is their completion order), a disk read (the
-:class:`~repro.storage.NvmeDisk` is shared) and the DMA write completion
-that raises FINISH.  The parser, a DRAM (or disk-less) DataReader and
-the iDCT have one way and a service time fixed by the cmd, so their
-times are computed inside the event before them.  Every time comes from
-the same additions and comparisons an event per service would make, so
-the schedule is bit-identical to a chain of
-:class:`~repro.fpga.units.PipelineUnit` stages.
+arrival order is their completion order), a disk read's issue when its
+start lies ahead of the clock (the :class:`~repro.storage.NvmeDisk` is
+shared, so reads must reach it in clock order) and the DMA write
+completion that raises FINISH.  The parser, the DataReader and the iDCT
+have one way and a service time fixed by the cmd, or by the disk, which
+returns a read's end when it is issued; so their times are computed
+inside the event before them.  A disk armed with an ``nvme_latency``
+spec cannot know a read's end at issue, and the DataReader waits for
+its completion event instead.  Every time comes from the same additions
+and comparisons an event per service would make, so the schedule is
+bit-identical to a chain of :class:`~repro.fpga.units.PipelineUnit`
+stages.
 """
 
 from __future__ import annotations
@@ -146,11 +150,6 @@ _NONE_AHEAD = -math.inf
 # are direct calls.
 _P, _R, _H, _I, _Z, _F = 1, 2, 4, 8, 16, 32
 
-# A folded stage settles its ended services once this many are queued
-# (reads settle first anyway); it bounds the queue, not the results.
-_SETTLE_AT = 64
-
-
 class _Wake:
     """A reusable heap entry: when the kernel runs it, it calls
     ``fn(arg)``.  Each way pushes its own entry again for every service,
@@ -198,76 +197,20 @@ class _Starts:
         return times[0]
 
 
-# -- instruments whose intervals are known ahead of the clock -------------
-class _StageBusy(BusyTracker):
-    """A stage's busy time.  A start may be computed ahead of the clock,
-    so a read first settles the services that ended by now (in
-    completion order), then counts each one begun and still running as
-    ``now - start``, exactly as :class:`BusyTracker` counts an open
-    interval."""
-
-    def __init__(self, env: Environment, unit: "_Stage"):
-        super().__init__(env, name=f"{unit.name}.busy")
-        self._unit = unit
-
-    def busy_seconds(self, category: Optional[str] = None) -> float:
-        unit = self._unit
-        unit._settle()
-        now = self.env.now
-        closed = (sum(self._busy.values()) if category is None
-                  else self._busy.get(category, 0.0))
-        if category is None or category == unit.name:
-            for start in unit._open_starts():
-                if start <= now:
-                    closed += now - start
-        return closed
-
-    def breakdown(self) -> dict[str, float]:
-        unit = self._unit
-        unit._settle()
-        now = self.env.now
-        elapsed = now - self._t0
-        if elapsed <= 0:
-            return {}
-        out: dict[str, float] = {}
-        for cat in self._busy:
-            out[cat] = self.busy_seconds(cat) / elapsed
-        if any(start <= now for start in unit._open_starts()):
-            out.setdefault(unit.name, self.busy_seconds(unit.name) / elapsed)
-        return out
-
-
-class _SettledCounter(Counter):
-    """A folded stage's item count: services that ended by now."""
-
-    def __init__(self, env: Environment, name: str, settle):
-        self._settle = settle
-        super().__init__(env, name=name)
-
-    @property
-    def total(self) -> float:
-        self._settle()
-        return self._total
-
-    @total.setter
-    def total(self, value: float) -> None:
-        self._total = value
-
-
 class _StageStats:
-    """:class:`~repro.fpga.units.UnitStats`' surface for a tandem stage."""
+    """:class:`~repro.fpga.units.UnitStats`' surface for a tandem stage.
+    A folded stage has one way, whose items are ``items``."""
 
-    def __init__(self, env: Environment, unit: "_Stage", folded: bool):
-        self.busy = _StageBusy(env, unit)
-        self.items = (_SettledCounter(env, f"{unit.name}.items",
-                                      unit._settle)
-                      if folded else Counter(env, name=f"{unit.name}.items"))
-        self._per_way = [0] * unit.ways
-        self._settle = unit._settle
+    def __init__(self, env: Environment, name: str, ways: int,
+                 folded: bool):
+        self.busy = BusyTracker(env, name=f"{name}.busy")
+        self.items = Counter(env, name=f"{name}.items")
+        self._per_way = None if folded else [0] * ways
 
     @property
     def per_way_items(self) -> list[int]:
-        self._settle()
+        if self._per_way is None:
+            return [int(self.items.total)]
         return self._per_way
 
     def utilization(self, ways: int) -> float:
@@ -280,11 +223,13 @@ class _Stage:
     a :class:`~repro.fpga.units.PipelineUnit`: ``ways``, ``stats``,
     ``utilization()``, ``way_imbalance()``, ``clb_cost`` and ``tracer``.
 
-    A *folded* stage (one way, service known from the cmd) queues each
-    service in ``_due`` when it is computed, possibly ahead of the
-    clock; reads settle the services that ended by then.  An evented
-    stage's services are held by its :class:`_Ways` and credited at
-    their completion events, as a PipelineUnit credits them.
+    A *folded* stage (one way, service known from the cmd) dates each
+    service on its stats when it is computed, possibly ahead of the
+    clock (:meth:`~repro.sim.BusyTracker.span_at`,
+    :meth:`~repro.sim.Counter.add_at`).  An evented stage's
+    :class:`_Ways` open each service at its start, which may lie ahead
+    of the clock, and credit it at its completion event, as a
+    PipelineUnit does.
     """
 
     def __init__(self, env: Environment, name: str, ways: int,
@@ -296,9 +241,7 @@ class _Stage:
         self.ways = ways
         self.clb_cost_per_way = clb_cost_per_way
         self.tracer = None
-        self._due: Optional[deque] = deque() if folded else None
-        self._ways: Optional["_Ways"] = None
-        self.stats = _StageStats(env, self, folded)
+        self.stats = _StageStats(env, name, ways, folded)
         # Request-trace stage label, e.g. "image-decoder.huffman" ->
         # "fpga.huffman" (stable across decoder instances).
         self._trace_stage = "fpga." + name.rsplit(".", 1)[-1]
@@ -315,31 +258,6 @@ class _Stage:
         counts = self.stats.per_way_items
         mean = sum(counts) / len(counts)
         return max(counts) / mean if mean else 0.0
-
-    def _settle(self) -> None:
-        due = self._due
-        if not due:
-            return
-        now = self.env._now
-        if due[0][1] > now:
-            return
-        closed = self.stats.busy._busy
-        stats = self.stats
-        name = self.name
-        while due and due[0][1] <= now:
-            start, end = due.popleft()
-            closed[name] = closed.get(name, 0.0) + (end - start)
-            stats.items._total += 1.0
-            stats._per_way[0] += 1
-
-    def _open_starts(self) -> list[float]:
-        """Starts of the services not yet credited, in start order."""
-        if self._due is not None:
-            return [start for start, _ in self._due]
-        ways = self._ways
-        return [start for _, start in sorted(
-            (ways.tok[w], ways.start[w]) for w in range(self.ways)
-            if ways.cmd[w] is not None)]
 
 
 class _FifoLevel(TimeWeighted):
@@ -519,7 +437,7 @@ class _Tandem:
         self.p_n = 0
         self.p_free = _NONE_AHEAD
         self.p_held = None
-        # DataReader: one way, folded except for a disk read.
+        # DataReader: one way, folded; a disk read waits for its issue.
         self.r_q: deque = deque()
         self.r_starts = _Starts()
         self.r_n = 0
@@ -689,7 +607,6 @@ class _Tandem:
             return
         q = self.p_q
         unit = self.mirror.parser
-        due = unit._due
         while True:
             held = self.p_held
             if held is not None:
@@ -719,9 +636,8 @@ class _Tandem:
                 if takes[0][0] <= now:
                     self._settle_takes()
             end = start + self.s_parse
-            if len(due) >= _SETTLE_AT:
-                unit._settle()
-            due.append((start, end))
+            unit.stats.busy.span_at(start, end, unit.name)
+            unit.stats.items.add_at(end)
             if unit.tracer is not None:
                 unit.tracer.span_at("service", f"{unit.name}[0]", start, end)
             if cmd.trace is not None:
@@ -777,30 +693,39 @@ class _Tandem:
             self.r_held = (cmd, end)
 
     def _issue_read(self) -> None:
+        """Issue the read now.  The disk returns its end at once, and
+        the DataReader holds the cmd until then, as for a DRAM read;
+        an evented disk calls :meth:`_read_event` at the end instead."""
         cmd = self.r_reading
-        mark_cmd(cmd, "fpga.fetch", "service")
+        disk = self.mirror.disk
+        now = self.env._now
+        mark_cmd_at(cmd, now, "fpga.fetch", "service")
         try:
-            self.mirror.disk.read_then(cmd.size_bytes, self._read_event)
+            if disk.evented:
+                disk.read_then(cmd.size_bytes, self._read_event)
+                return
+            end = disk.submit(cmd.size_bytes)
         except NvmeReadError as exc:
             # Forward the cmd anyway: the host learns of the failure
             # from the error FINISH record, not a hang.
             cmd.error = f"NvmeReadError: {exc}"
-            self._read_done()
+            end = now
+        self._read_done(end)
 
     def _read_at_start(self, _arg: Any) -> None:
         self._issue_read()
         self._step_r()
         self._pump()
 
-    def _read_done(self) -> None:
-        """The read ended now: the DataReader holds its cmd."""
+    def _read_done(self, end: float) -> None:
+        """The read ends at ``end``: the DataReader holds its cmd."""
         cmd = self.r_reading
-        mark_cmd(cmd, "fpga.queue", "wait")
-        self.r_held = (cmd, self.env._now)
+        mark_cmd_at(cmd, end, "fpga.queue", "wait")
+        self.r_held = (cmd, end)
         self.r_reading = None
 
     def _read_event(self, _value: Any) -> None:
-        self._read_done()
+        self._read_done(self.env._now)
         self._step_r()
         self._pump()
 
@@ -835,10 +760,8 @@ class _Tandem:
                     f"{self.mirror.idct.name}: negative service time")
             end = start + duration
             unit = self.mirror.idct
-            due = unit._due
-            if len(due) >= _SETTLE_AT:
-                unit._settle()
-            due.append((start, end))
+            unit.stats.busy.span_at(start, end, unit.name)
+            unit.stats.items.add_at(end)
             if unit.tracer is not None:
                 unit.tracer.span_at("service", f"{unit.name}[0]", start, end)
             if cmd.trace is not None:
@@ -927,8 +850,7 @@ class _Ways:
                  up_bit: int, up_held: str):
         self.tandem = tandem
         self.unit = unit
-        unit._ways = self
-        self.closed = unit.stats.busy._busy
+        self.busy = unit.stats.busy
         self.items = unit.stats.items
         self.per_way = unit.stats._per_way
         self.transform = transform
@@ -947,8 +869,7 @@ class _Ways:
         self.cmd: list = [None] * ways
         self.start: list = [0.0] * ways
         self.end: list = [0.0] * ways
-        self.tok: list = [0] * ways         # start order, for reads
-        self.next_tok = 0
+        self.tok: list = [0] * ways         # busy-interval tokens
         self.wakes = [_Wake(self.finish, w) for w in range(ways)]
         self.blocked: deque = deque()       # (way, cmd, end, index)
         self.out = 0                        # downstream index of the next
@@ -995,8 +916,7 @@ class _Ways:
             busy[way] = cmd
             self.start[way] = start
             self.end[way] = end
-            self.tok[way] = self.next_tok
-            self.next_tok += 1
+            self.tok[way] = self.busy.begin_at(start, self.unit.name)
             if cmd.trace is not None:
                 mark_cmd_at(cmd, start, self.unit._trace_stage, "service")
             _schedule_at(env, end, self.wakes[way])
@@ -1013,14 +933,12 @@ class _Ways:
         self.cmd[way] = None
         unit = self.unit
         now = tandem.env._now
-        start = self.start[way]
-        closed = self.closed
-        name = unit.name
-        closed[name] = closed.get(name, 0.0) + (now - start)
-        self.items.total += 1.0
+        self.busy.end(self.tok[way])
+        self.items.add()
         self.per_way[way] += 1
         if unit.tracer is not None:
-            unit.tracer.span_at("service", f"{name}[{way}]", start, now)
+            unit.tracer.span_at("service", f"{unit.name}[{way}]",
+                                self.start[way], now)
         if self.transform is not None:
             cmd = self.transform(cmd)
         if cmd.trace is not None:

@@ -11,6 +11,7 @@ import math
 import struct
 import zlib
 from bisect import insort
+from collections import deque
 from random import Random
 from typing import Optional
 
@@ -60,23 +61,71 @@ def _autoregister(instrument) -> None:
         _ACTIVE_REGISTRY.register(instrument)
 
 
+# An instrument applies its dated entries that are due once this many
+# are queued (reads apply them first anyway); it bounds the queue, not
+# the results.
+_SETTLE_AT = 64
+
+
 class Counter:
-    """A monotonically increasing event count with rate helpers."""
+    """A monotonically increasing event count with rate helpers.
+
+    :meth:`add_at` dates an increment ahead of the clock, for a model
+    that computes when an item will be done before the clock gets there
+    (a folded queue, DESIGN §10): every read first applies the ones due
+    by now, so a reader sees only what the clock has passed.
+    """
 
     def __init__(self, env: Environment, name: str = "counter"):
         self.env = env
         self.name = name
-        self.total = 0.0
+        self._total = 0.0
+        self._due: Optional[deque] = None       # (when, n), in time order
         self._t0 = env.now
         _autoregister(self)
+
+    @property
+    def total(self) -> float:
+        if self._due:
+            self._settle()
+        return self._total
+
+    @total.setter
+    def total(self, value: float) -> None:
+        self._total = value
 
     def add(self, n: float = 1.0) -> None:
         if n < 0:
             raise ValueError("counters only go up")
-        self.total += n
+        self._total += n
+
+    def add_at(self, when: float, n: float = 1.0) -> None:
+        """Count ``n`` at time ``when``, which may lie ahead of the
+        clock; increments must come in time order."""
+        if n < 0:
+            raise ValueError("counters only go up")
+        due = self._due
+        if due is None:
+            due = self._due = deque()
+        elif due:
+            if when < due[-1][0]:
+                raise ValueError("dated entries must come in time order")
+            if len(due) >= _SETTLE_AT:
+                self._settle()
+        due.append((when, n))
+
+    def _settle(self) -> None:
+        due = self._due
+        now = self.env._now
+        total = self._total
+        while due and due[0][0] <= now:
+            total += due.popleft()[1]
+        self._total = total
 
     def reset(self) -> None:
-        self.total = 0.0
+        if self._due:
+            self._settle()
+        self._total = 0.0
         self._t0 = self.env.now
 
     def rate(self, since: Optional[float] = None) -> float:
@@ -140,6 +189,14 @@ class BusyTracker:
     the time report 1.0 cores.  Nested/concurrent intervals accumulate, so
     a pool of N workers reports up to N.  Categories let Fig. 6(d)-style
     breakdowns fall out of one tracker.
+
+    A model that computes a service's times before the clock reaches
+    them (a folded queue, DESIGN §10) dates its intervals instead:
+    :meth:`span_at` takes an interval known in full, credited in end
+    order once the clock reaches its end, and :meth:`begin_at` opens an
+    interval whose start may lie ahead of the clock.  Either counts as
+    ``now - start`` while ``start <= now`` and it has not been credited,
+    exactly as an interval opened by :meth:`begin` at its start would.
     """
 
     def __init__(self, env: Environment, name: str = "busy"):
@@ -149,6 +206,7 @@ class BusyTracker:
         self._busy: dict[str, float] = {}
         self._open: dict[int, tuple[str, float]] = {}
         self._next_token = 0
+        self._due: Optional[deque] = None   # (end, start, category)
         _autoregister(self)
 
     def begin(self, category: str = "work") -> int:
@@ -157,10 +215,51 @@ class BusyTracker:
         self._open[token] = (category, self.env._now)
         return token
 
+    def begin_at(self, start: float, category: str = "work") -> int:
+        """:meth:`begin` at time ``start``, which may lie ahead of the
+        clock; :meth:`end` closes the interval at the clock."""
+        token = self._next_token
+        self._next_token += 1
+        self._open[token] = (category, start)
+        return token
+
     def end(self, token: int) -> None:
         category, start = self._open.pop(token)
         self._busy[category] = self._busy.get(category, 0.0) + (
             self.env._now - start)
+
+    def span_at(self, start: float, end: float,
+                category: str = "work") -> None:
+        """Account the interval [``start``, ``end``], which may lie
+        ahead of the clock; intervals must come in end order."""
+        due = self._due
+        if due is None:
+            due = self._due = deque()
+        elif due:
+            if end < due[-1][0]:
+                raise ValueError("dated entries must come in time order")
+            if len(due) >= _SETTLE_AT:
+                self._settle()
+        due.append((end, start, category))
+
+    def _settle(self) -> None:
+        due = self._due
+        now = self.env._now
+        busy = self._busy
+        while due and due[0][0] <= now:
+            end, start, category = due.popleft()
+            busy[category] = busy.get(category, 0.0) + (end - start)
+
+    def _opened(self):
+        """``(category, start)`` of each interval begun by now and not
+        yet credited, in start order (after a settle)."""
+        now = self.env._now
+        for category, start in self._open.values():
+            if start <= now:
+                yield category, start
+        for _, start, category in self._due or ():
+            if start <= now:
+                yield category, start
 
     def charge(self, duration: float, category: str = "work") -> None:
         """Directly account ``duration`` seconds of busy time."""
@@ -169,12 +268,15 @@ class BusyTracker:
         self._busy[category] = self._busy.get(category, 0.0) + duration
 
     def busy_seconds(self, category: Optional[str] = None) -> float:
+        if self._due:
+            self._settle()
         closed = (sum(self._busy.values()) if category is None
                   else self._busy.get(category, 0.0))
         # Include still-open intervals up to now.
-        for cat, start in self._open.values():
+        now = self.env.now
+        for cat, start in self._opened():
             if category is None or cat == category:
-                closed += self.env.now - start
+                closed += now - start
         return closed
 
     def cores(self, category: Optional[str] = None,
@@ -190,12 +292,29 @@ class BusyTracker:
         elapsed = self.env.now - self._t0
         if elapsed <= 0:
             return {}
+        if self._due:
+            self._settle()
         out: dict[str, float] = {}
         for cat in self._busy:
             out[cat] = self.busy_seconds(cat) / elapsed
-        for cat, _ in self._open.values():
+        for cat, _ in self._opened():
             out.setdefault(cat, self.busy_seconds(cat) / elapsed)
         return out
+
+
+def _sort_entries(entries: list) -> None:
+    """Sort reservoir entries ``(latency, seq, trace_id)`` in place.
+
+    Entries of two merged recorders can tie on ``(latency, seq)`` with
+    only one of them linked to a trace, and then the tuples do not
+    compare; only then is a key needed, which orders a missing trace id
+    below every id.  Where the tuples compare, the key gives their
+    order, so either sort leaves the same list.
+    """
+    try:
+        entries.sort()
+    except TypeError:
+        entries.sort(key=lambda e: e if e[2] is not None else e[:2])
 
 
 class LatencyRecorder:
@@ -267,7 +386,7 @@ class LatencyRecorder:
                 insort(reservoir, entry)
         else:
             reservoir.extend(tail)
-            reservoir.sort()
+            _sort_entries(reservoir)
         self._tail = []
 
     def __getstate__(self) -> dict:
@@ -409,7 +528,7 @@ class LatencyRecorder:
         if len(combined) > cap:
             combined.sort(key=self._merge_priority)
             del combined[cap:]
-        combined.sort()
+        _sort_entries(combined)
         self._sorted = combined
 
     def total(self) -> float:

@@ -1,4 +1,4 @@
-"""Golden digests of five short simulated runs.
+"""Golden digests of short simulated runs.
 
 Each digest is the SHA-256 of the run's canonical result document
 (``repro.sweep.canonical_json``).  Work on the event core or the stage
@@ -18,7 +18,7 @@ import hashlib
 from repro.experiments.chaos_fleet import (default_outlier, default_recovery,
                                           serve_chaos)
 from repro.experiments.fleet import serve_autoscale, serve_fleet
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetryPolicy
 from repro.sim.core import total_events_processed
 from repro.sweep import canonical_json
 from repro.workflows import (InferenceConfig, TrainingConfig, run_inference,
@@ -34,13 +34,23 @@ CHAOS_K4_DIGEST = (
     "b14332f5d55a7298e422ca2f8f7c7801eadb4c57fa8639967673287355b0e622")
 AUTOSCALE_DIGEST = (
     "6fd35490abdbb0923cd0735185f16e8803a4b64b50169242128cf36330d5e3a7")
+# Disk paths the benchmark does not run.
+TWO_DECODERS_DIGEST = (
+    "7fac2ad91c2053c2763100f32e2e97740781c0284aacb176dc6dca05ddf1c169")
+CPU_ONLINE_DIGEST = (
+    "0de5a1d8d8e363ec78de241a7055d68fc0f559521cf06c9ced158e77c7e1cbaf")
+NVME_CHAOS_DIGEST = (
+    "e1cb4a776e6173a2185ad5c3b6f2e5b23115e304a7e4e2027b032e06e05368e2")
 
 # Kernel events each run processes.
 FIG7_CELL_EVENTS = 22_843
-TRAINING_20K_EVENTS = 187_184
+TRAINING_20K_EVENTS = 116_652
 FLEET_K4_EVENTS = 37_385
 CHAOS_K4_EVENTS = 54_755
 AUTOSCALE_EVENTS = 135_419
+TWO_DECODERS_EVENTS = 117_152
+CPU_ONLINE_EVENTS = 28_876
+NVME_CHAOS_EVENTS = 188_272
 
 
 def digest(doc) -> str:
@@ -62,12 +72,39 @@ def test_fig7_cell_golden_digest():
     assert events == FIG7_CELL_EVENTS
 
 
+def training_20k(**kw):
+    return counted(lambda: run_training(TrainingConfig(
+        model="alexnet", dataset_size=20_000, warmup_s=0.1, measure_s=0.3,
+        seed=0, **kw)))
+
+
 def test_training_golden_digest():
-    res, events = counted(lambda: run_training(TrainingConfig(
-        model="alexnet", backend="dlbooster", dataset_size=20_000,
-        warmup_s=0.1, measure_s=0.3, seed=0)))
+    res, events = training_20k(backend="dlbooster")
     assert digest(dataclasses.asdict(res)) == TRAINING_20K_DIGEST
     assert events == TRAINING_20K_EVENTS
+
+
+def test_two_decoders_share_one_disk_golden_digest():
+    res, events = training_20k(backend="dlbooster", num_fpgas=2, num_gpus=2)
+    assert digest(dataclasses.asdict(res)) == TWO_DECODERS_DIGEST
+    assert events == TWO_DECODERS_EVENTS
+
+
+def test_cpu_online_disk_reads_golden_digest():
+    """Two prefetchers read batches through the disk's generator."""
+    res, events = training_20k(backend="cpu-online", num_gpus=2)
+    assert digest(dataclasses.asdict(res)) == CPU_ONLINE_DIGEST
+    assert events == CPU_ONLINE_EVENTS
+
+
+def test_nvme_chaos_golden_digest():
+    """``nvme_latency`` can reorder reads, so these stay evented."""
+    res, events = training_20k(
+        backend="dlbooster", retry=RetryPolicy(max_attempts=3),
+        fault_plan=FaultPlan.of(FaultPlan.nvme_error(0.01),
+                                FaultPlan.nvme_latency(0.05, extra_s=2e-3)))
+    assert digest(dataclasses.asdict(res)) == NVME_CHAOS_DIGEST
+    assert events == NVME_CHAOS_EVENTS
 
 
 def test_fleet_k4_golden_digest():

@@ -236,3 +236,30 @@ def test_pickled_recorder_carries_its_tail_sorted():
     assert not clone._tail
     assert clone.samples == (1.0, 2.0, 3.0, 5.0)
     assert state(clone) == state(rec)
+
+
+@pytest.mark.parametrize("linked", ["self", "other"])
+def test_merge_orders_a_missing_trace_id_below_every_id(linked):
+    # Both first entries are (0.0, 1): only the trace id tells them
+    # apart, and one side has none.
+    a, b = LatencyRecorder(name="a"), LatencyRecorder(name="b")
+    a.record(0.0, trace_id=5 if linked == "self" else None)
+    b.record(0.0, trace_id=5 if linked == "other" else None)
+    a.merge(b)
+    assert a._sorted == [(0.0, 1, None), (0.0, 1, 5)]
+    assert a.samples == (0.0, 0.0)
+    assert a.exemplars() == ((0.0, 5),)
+
+
+def test_record_after_merge_sorts_ties_on_a_long_tail():
+    a, b = LatencyRecorder(name="a"), LatencyRecorder(name="b")
+    a.record(0.0)
+    b.record(0.0, trace_id=5)
+    a.merge(b)
+    a.record(1.0)
+    a.record(0.5, trace_id=9)
+    # Two tail entries against a reservoir of two: one full sort.
+    assert 16 * len(a._tail) >= len(a._sorted)
+    assert a.samples == (0.0, 0.0, 0.5, 1.0)
+    assert a.exemplars() == ((0.0, 5), (0.5, 9))
+    assert a.count == 4

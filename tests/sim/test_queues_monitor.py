@@ -290,6 +290,44 @@ def test_busy_tracker_charge_and_breakdown():
     assert bt.cores() == pytest.approx(1.52)
 
 
+def test_dated_entries_show_only_what_the_clock_has_passed():
+    env = Environment()
+    bt, items = BusyTracker(env), Counter(env)
+    bt.span_at(1.0, 3.0, "io")
+    items.add_at(3.0, 5)
+    tok = bt.begin_at(2.0, "cpu")
+    assert (bt.busy_seconds(), bt.breakdown(), items.total) == (0.0, {}, 0)
+    env.run(until=2.5)
+    assert bt.busy_seconds("io") == 1.5 and bt.busy_seconds("cpu") == 0.5
+    assert items.total == 0
+    env.run(until=4.0)
+    assert bt.breakdown() == {"io": 0.5, "cpu": 0.5}
+    assert items.total == 5 and items.rate() == 1.25
+    bt.end(tok)
+    assert bt.busy_seconds() == 4.0
+
+
+def test_dated_entries_come_in_time_order_and_stay_bounded():
+    env = Environment()
+    bt, items = BusyTracker(env), Counter(env)
+    bt.span_at(0.0, 2.0)
+    items.add_at(2.0)
+    with pytest.raises(ValueError):
+        bt.span_at(0.0, 1.0)
+    with pytest.raises(ValueError):
+        items.add_at(1.0)
+    with pytest.raises(ValueError):
+        items.add_at(3.0, -1)
+    env.run(until=5.0)
+    for i in range(1000):
+        bt.span_at(0.0, 2.0 + i / 1000)
+        items.add_at(3.0 + i / 1000)
+    # Entries due by now are applied as the queue grows, not only on a
+    # read.
+    assert len(bt._due) <= 64 and len(items._due) <= 64
+    assert items.total == 1001.0
+
+
 def test_busy_tracker_rejects_negative_charge():
     with pytest.raises(ValueError):
         BusyTracker(Environment()).charge(-1.0)
