@@ -39,7 +39,9 @@ def test_decode_bit_identical_across_modes(workload):
 def test_decode_speedup(workload):
     units = {"bytes": float(workload.nbytes)}
     kwargs = dict(k=3, min_time=0.2) if FULL else dict(k=2, min_time=0.05)
-    rounds = 2 if FULL else 1
+    # On a shared host one quick round's best-of-two swings the ratio
+    # widely; the minimum over three interleaved rounds swings less.
+    rounds = 2 if FULL else 3
     # Interleave the modes so slow machine drift biases neither side.
     news, olds = [], []
     for _ in range(rounds):

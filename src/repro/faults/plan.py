@@ -172,11 +172,6 @@ class FaultPlan:
         """The specs whose kinds target fleet sites (hosts / zones)."""
         return tuple(s for s in self.specs if s.kind in FLEET_FAULT_KINDS)
 
-    def host_specs(self) -> tuple[FaultSpec, ...]:
-        """The specs in-host components consume (everything else)."""
-        return tuple(s for s in self.specs
-                     if s.kind not in FLEET_FAULT_KINDS)
-
     # -- convenience constructors ----------------------------------------
     @classmethod
     def of(cls, *specs: FaultSpec, name: str = "plan") -> "FaultPlan":

@@ -258,9 +258,6 @@ class Host:
         roughly the seconds of work queued on this host."""
         return self.in_flight / max(self.capacity_estimate(), 1e-9)
 
-    def queue_depth(self) -> int:
-        return len(self.nic.rx_queue)
-
     def capacity_estimate(self) -> float:
         """Analytic knee: aggregate GPU inference rate, img/s."""
         cfg = self.cfg

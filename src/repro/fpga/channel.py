@@ -80,9 +80,11 @@ class FPGAChannel:
             self.dropped.add()
             self._track(0)
             return True
+        # Mark before the put: a put to an idle parser queues the
+        # parser's own marks at once.
+        mark_cmd(cmd, "fpga.fifo", "wait")
         ok = self.mirror.cmd_queue.try_put(cmd)
         if ok:
-            mark_cmd(cmd, "fpga.fifo", "wait")
             self.submitted.add()
             self._track(1)
         return ok

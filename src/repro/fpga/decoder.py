@@ -260,123 +260,23 @@ class _Stage:
         return max(counts) / mean if mean else 0.0
 
 
-class _FifoLevel(TimeWeighted):
-    """The cmd FIFO's occupancy: parser takes land ahead of the clock,
-    so every read first applies the ones due by now."""
-
-    def __init__(self, env: Environment, name: str, settle):
-        self._settle = settle
-        super().__init__(env, 0, name=name)
-
-    @property
-    def value(self) -> float:
-        self._settle()
-        return self._value
-
-    @property
-    def max_value(self) -> float:
-        self._settle()
-        return self._max
-
-    @max_value.setter
-    def max_value(self, value: float) -> None:
-        self._max = value
-
-    @property
-    def min_value(self) -> float:
-        self._settle()
-        return self._min
-
-    @min_value.setter
-    def min_value(self, value: float) -> None:
-        self._min = value
-
-    def mean(self) -> float:
-        self._settle()
-        return super().mean()
-
-    def _set_at(self, when: float, value: float) -> None:
-        """:meth:`set` at time ``when`` (not before the last one)."""
-        self._area += self._value * (when - self._last_t)
-        self._last_t = when
-        self._value = value = float(value)
-        if value > self._max:
-            self._max = value
-        elif value < self._min:
-            self._min = value
-
-
-class _FifoWait(LatencyRecorder):
-    """The cmd FIFO's wait times, recorded at parser takes that may lie
-    ahead of the clock: every read first records the ones due by now."""
-
-    _settle = None          # dropped when pickled: a copy never settles
-
-    def __init__(self, name: str, settle):
-        super().__init__(name=name)
-        self._settle = settle
-
-    def _flush(self) -> None:
-        if self._settle is not None:
-            self._settle()
-        super()._flush()
-
-    def __getstate__(self) -> dict:
-        self._flush()
-        state = dict(self.__dict__)
-        state.pop("_settle", None)
-        return state
-
-    @property
-    def count(self) -> int:
-        self._flush()
-        return self._count
-
-    @property
-    def sample_count(self) -> int:
-        self._flush()
-        return len(self._sorted)
-
-    @property
-    def is_exact(self) -> bool:
-        self._flush()
-        return self._count == len(self._sorted)
-
-    def total(self) -> float:
-        self._flush()
-        return super().total()
-
-    def mean(self) -> float:
-        self._flush()
-        return super().mean()
-
-    def max(self) -> float:
-        self._flush()
-        return super().max()
-
-    def min(self) -> float:
-        self._flush()
-        return super().min()
-
-
 class _CmdFifo:
     """The decoder's host-facing cmd FIFO: ``put``, ``try_put`` and
     ``len`` behave as on a :class:`~repro.sim.Channel` of capacity
     ``fpga_queue_depth`` that the parser takes from.  Built under a
     metrics registry it keeps the same ``occupancy`` and ``wait``
-    monitors."""
+    monitors, plain instruments that take each admission and each
+    parser take dated, possibly ahead of the clock (DESIGN §10)."""
 
     def __init__(self, tandem: "_Tandem", name: str):
         self._tandem = tandem
-        self.occupancy: Optional[_FifoLevel] = None
-        self.wait: Optional[_FifoWait] = None
+        self.occupancy: Optional[TimeWeighted] = None
+        self.wait: Optional[LatencyRecorder] = None
         if registry_active():
-            settle = tandem._settle_takes
-            self.occupancy = _FifoLevel(tandem.env, f"{name}.occupancy",
-                                        settle)
-            self.wait = _FifoWait(f"{name}.wait", settle)
+            self.occupancy = TimeWeighted(tandem.env, 0,
+                                          name=f"{name}.occupancy")
+            self.wait = LatencyRecorder(name=f"{name}.wait", env=tandem.env)
         tandem.fifo = self
-        tandem.monitored = self.occupancy is not None
 
     def __len__(self) -> int:
         return self._tandem.waiting()
@@ -384,15 +284,10 @@ class _CmdFifo:
     def put(self, cmd: DecodeCmd):
         """Generator: blocks while the FIFO is full."""
         yield self._tandem.put(cmd)
-        if self.occupancy is not None:
-            self._tandem._count_admission()
 
     def try_put(self, cmd: DecodeCmd) -> bool:
         """Non-blocking put; False when the FIFO is full."""
-        ok = self._tandem.try_put(cmd)
-        if ok and self.occupancy is not None:
-            self._tandem._count_admission()
-        return ok
+        return self._tandem.try_put(cmd)
 
 
 class _Tandem:
@@ -418,18 +313,13 @@ class _Tandem:
         self.nvme_rate = tb.nvme_read_rate
         self.idct_rate = tb.fpga_idct_pixel_rate
         self.fifo: Optional[_CmdFifo] = None
-        self.monitored = False          # the FIFO has registry monitors
 
         # Host side of the FIFO.  ``puts``: blocked puts, in order.
-        # ``takes``: parser starts not yet reached, (start, admitted,
-        # called), for ``len`` and the FIFO monitors.
+        # ``takes``: parser starts made ahead of the clock, (start,
+        # admitted), for ``len``; each new one drops those now passed.
         self.puts: deque = deque()
         self.admitted = 0
         self.takes: deque = deque()
-        self.adm_times: deque = deque()     # only under a registry
-        self.fifo_in = 0
-        self.fifo_out = 0
-        self._settling = False
 
         # Parser: one way, folded.
         self.p_q: deque = deque()
@@ -526,8 +416,9 @@ class _Tandem:
                event: Optional[Event]) -> None:
         self.admitted += 1
         self.p_q.append((cmd, at, called))
-        if self.monitored:
-            self.adm_times.append(at)
+        occupancy = self.fifo.occupancy
+        if occupancy is not None:
+            occupancy.adjust_at(at, 1)
         if event is not None:
             if at == self.env._now:
                 event.succeed()
@@ -550,45 +441,8 @@ class _Tandem:
     def waiting(self) -> int:
         """Cmds admitted by now that the parser has not started."""
         now = self.env._now
-        self._settle_takes()
         return (sum(1 for _, at, _ in self.p_q if at <= now)
-                + sum(1 for _, at, _ in self.takes if at <= now))
-
-    def _settle_takes(self) -> None:
-        """Retire the parser takes due by now; under a registry, apply
-        each to the FIFO's monitors as the channel's take would."""
-        takes = self.takes
-        now = self.env._now
-        if not takes or takes[0][0] > now or self._settling:
-            return
-        fifo = self.fifo
-        if fifo.occupancy is None:
-            while takes and takes[0][0] <= now:
-                takes.popleft()
-            return
-        self._settling = True
-        try:
-            adm = self.adm_times
-            while takes and takes[0][0] <= now:
-                start, _, called = takes.popleft()
-                while adm and adm[0] <= start:
-                    adm.popleft()
-                    self.fifo_in += 1
-                self.fifo_out += 1
-                fifo.wait.record(start - called)
-                fifo.occupancy._set_at(start, self.fifo_in - self.fifo_out)
-        finally:
-            self._settling = False
-
-    def _count_admission(self) -> None:
-        """The monitors' side of an admitted put, as the channel's."""
-        self._settle_takes()
-        now = self.env._now
-        adm = self.adm_times
-        while adm and adm[0] <= now:
-            adm.popleft()
-            self.fifo_in += 1
-        self.fifo.occupancy._set_at(now, self.fifo_in - self.fifo_out)
+                + sum(1 for start, at in self.takes if at <= now < start))
 
     # -- the recursion -----------------------------------------------------
     def _pump(self) -> None:
@@ -628,13 +482,17 @@ class _Tandem:
             if self.puts:
                 self.dirty |= _F
             now = self.env._now
-            if start > now or self.monitored:
-                # A take ahead of the clock: ``len`` and the FIFO's
-                # monitors see it when the clock gets there.
+            if start > now:
+                # A take ahead of the clock: ``len`` sees it when the
+                # clock gets there.
                 takes = self.takes
-                takes.append((start, at, called))
-                if takes[0][0] <= now:
-                    self._settle_takes()
+                while takes and takes[0][0] <= now:
+                    takes.popleft()
+                takes.append((start, at))
+            fifo = self.fifo
+            if fifo.occupancy is not None:
+                fifo.occupancy.adjust_at(start, -1)
+                fifo.wait.record_at(start, start - called)
             end = start + self.s_parse
             unit.stats.busy.span_at(start, end, unit.name)
             unit.stats.items.add_at(end)

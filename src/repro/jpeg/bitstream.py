@@ -84,11 +84,6 @@ class BitReader:
         self._nbits = 0
         self.marker_found: int | None = None
 
-    @property
-    def byte_pos(self) -> int:
-        """Position of the next unread byte in the underlying buffer."""
-        return self._pos
-
     def _pull_byte(self) -> None:
         """Refill the accumulator — in bulk where the stream allows.
 

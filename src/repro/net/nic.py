@@ -32,7 +32,6 @@ class NetRequest:
     sent_at: float
     received_at: float = 0.0
     payload: Optional[bytes] = None       # real JPEG in functional mode
-    dma_phy_addr: int = 0                 # where the NIC placed the bytes
     done_event: object = field(default=None, repr=False)
     deadline_at: float = math.inf         # absolute; inf = no deadline
     trace: object = field(default=None, repr=False)  # RequestTrace, if traced

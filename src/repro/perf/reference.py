@@ -384,8 +384,8 @@ def _tw_set_ref(self, value: float) -> None:
     self._area += self._value * (now - self._last_t)
     self._last_t = now
     self._value = float(value)
-    self.max_value = max(self.max_value, self._value)
-    self.min_value = min(self.min_value, self._value)
+    self._max = max(self._max, self._value)
+    self._min = min(self._min, self._value)
 
 
 def _bt_begin_ref(self, category: str = "work") -> int:

@@ -12,6 +12,7 @@ import struct
 import zlib
 from bisect import insort
 from collections import deque
+from heapq import heappop, heappush
 from random import Random
 from typing import Optional
 
@@ -140,6 +141,11 @@ class TimeWeighted:
 
     Used for queue depths, memory-pool occupancy and outstanding-command
     counts.
+
+    :meth:`adjust_at` dates a change ahead of the clock, for a folded
+    queue (DESIGN §10); an instrument takes either these or
+    :meth:`set`/:meth:`adjust`.  Every read first applies the changes
+    due by now, all of one instant's as one net step.
     """
 
     def __init__(self, env: Environment, initial: float = 0.0,
@@ -150,13 +156,28 @@ class TimeWeighted:
         self._last_t = env.now
         self._area = 0.0
         self._t0 = env.now
-        self.max_value = float(initial)
-        self.min_value = float(initial)
+        self._max = float(initial)
+        self._min = float(initial)
+        self._due: Optional[list] = None        # heap of (when, delta)
         _autoregister(self)
 
     @property
     def value(self) -> float:
+        if self._due:
+            self._settle()
         return self._value
+
+    @property
+    def max_value(self) -> float:
+        if self._due:
+            self._settle()
+        return self._max
+
+    @property
+    def min_value(self) -> float:
+        if self._due:
+            self._settle()
+        return self._min
 
     def set(self, value: float) -> None:
         # Hot path: one call per queue push/pop.  Reads the clock slot
@@ -165,15 +186,50 @@ class TimeWeighted:
         self._area += self._value * (now - self._last_t)
         self._last_t = now
         self._value = value = float(value)
-        if value > self.max_value:
-            self.max_value = value
-        elif value < self.min_value:
-            self.min_value = value
+        if value > self._max:
+            self._max = value
+        elif value < self._min:
+            self._min = value
 
     def adjust(self, delta: float) -> None:
         self.set(self._value + delta)
 
+    def adjust_at(self, when: float, delta: float) -> None:
+        """:meth:`adjust` at time ``when``, which may lie ahead of the
+        clock.  Changes may come in any order, but none before the last
+        instant applied."""
+        if when < self._last_t:
+            raise ValueError("a dated change precedes one already applied")
+        due = self._due
+        if due is None:
+            due = self._due = []
+        elif len(due) >= _SETTLE_AT:
+            # A change may still be dated now, so only the instants
+            # before now are complete.
+            self._settle(strict=True)
+        heappush(due, (when, delta))
+
+    def _settle(self, strict: bool = False) -> None:
+        """Apply the changes due by now (before now, if ``strict``),
+        each instant's as one step to their net value."""
+        due = self._due
+        now = self.env._now
+        while due and (due[0][0] < now or not strict and due[0][0] == now):
+            when = due[0][0]
+            value = self._value
+            while due and due[0][0] == when:
+                value += heappop(due)[1]
+            self._area += self._value * (when - self._last_t)
+            self._last_t = when
+            self._value = value = float(value)
+            if value > self._max:
+                self._max = value
+            elif value < self._min:
+                self._min = value
+
     def mean(self) -> float:
+        if self._due:
+            self._settle()
         elapsed = self.env.now - self._t0
         if elapsed <= 0:
             return self._value
@@ -343,12 +399,21 @@ class LatencyRecorder:
     tuples where ``seq`` is the unique arrival index: ties on equal
     latencies break on ``seq`` before ``trace_id`` is ever compared, so
     eviction/ordering behaviour is identical with or without exemplars.
+
+    **Dated records**: built with the ``env`` keyword, a recorder also
+    takes :meth:`record_at`, a record dated ahead of the clock (a folded
+    queue, DESIGN §10); it takes either these or :meth:`record`.  Every
+    read, a merge and a pickle first record the ones due by now; a
+    pickled copy keeps no clock and none of the records not yet due.
     """
 
-    def __init__(self, name: str = "latency", max_samples: int = 200_000):
+    def __init__(self, name: str = "latency", max_samples: int = 200_000,
+                 *, env: Optional[Environment] = None):
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
         self.name = name
+        self.env = env
+        self._due: Optional[deque] = None       # (when, latency), in order
         # Below the cap, entries are appended to an unsorted tail and
         # folded into the sorted prefix lazily (on a read, when the cap
         # is reached, before a merge or a pickle); past the cap the
@@ -374,6 +439,9 @@ class LatencyRecorder:
         _autoregister(self)
 
     def _flush(self) -> None:
+        """Record the dated records due, then sort the tail in."""
+        if self._due:
+            self._settle()
         tail = self._tail
         if not tail:
             return
@@ -391,7 +459,33 @@ class LatencyRecorder:
 
     def __getstate__(self) -> dict:
         self._flush()
-        return self.__dict__
+        return {**self.__dict__, "env": None, "_due": None}
+
+    def record_at(self, when: float, latency: float) -> None:
+        """:meth:`record` at time ``when``, which may lie ahead of the
+        clock; records must come in time order."""
+        if latency < 0:
+            raise ValueError(f"negative latency {latency}")
+        due = self._due
+        if due is None:
+            if self.env is None:
+                raise ValueError("record_at needs a recorder built with env")
+            due = self._due = deque()
+        elif due:
+            if when < due[-1][0]:
+                raise ValueError("dated entries must come in time order")
+            if len(due) >= _SETTLE_AT:
+                self._settle()
+        due.append((when, latency))
+
+    def _settle(self) -> None:
+        due = self._due
+        now = self.env._now
+        # record() may flush at the cap, and that flush must not settle.
+        self._due = None
+        while due and due[0][0] <= now:
+            self.record(due.popleft()[1])
+        self._due = due
 
     def record(self, latency: float, trace_id: Optional[int] = None) -> None:
         if latency < 0:
@@ -422,18 +516,23 @@ class LatencyRecorder:
 
     @property
     def count(self) -> int:
+        if self._due:
+            self._settle()
         return self._count
 
     @property
     def sample_count(self) -> int:
         """Samples currently retained (== count while below the cap)."""
+        if self._due:
+            self._settle()
         return len(self._sorted) + len(self._tail)
 
     @property
     def is_exact(self) -> bool:
         """True while every recorded value is retained, i.e. percentiles
         are exact order statistics rather than reservoir estimates."""
-        return self._count == self.sample_count
+        kept = self.sample_count        # records the due ones first
+        return self._count == kept
 
     @property
     def samples(self) -> tuple[float, ...]:
@@ -535,12 +634,15 @@ class LatencyRecorder:
         """Exact sum of every recorded latency (own stream plus merged
         streams, combined with a single correctly-rounded fsum so the
         value is independent of merge order)."""
+        if self._due:
+            self._settle()
         if self._merged_sums:
             return math.fsum([self._sum, *self._merged_sums])
         return self._sum
 
     def mean(self) -> float:
-        return self.total() / self._count if self._count else math.nan
+        total = self.total()            # records the due ones first
+        return total / self._count if self._count else math.nan
 
     def percentile(self, q: float) -> float:
         """q in [0, 100]; linear interpolation between order statistics
@@ -568,10 +670,14 @@ class LatencyRecorder:
 
     def max(self) -> float:
         """Exact maximum over the full stream (never subsampled)."""
+        if self._due:
+            self._settle()
         return self._max if self._count else math.nan
 
     def min(self) -> float:
         """Exact minimum over the full stream (never subsampled)."""
+        if self._due:
+            self._settle()
         return self._min if self._count else math.nan
 
 

@@ -12,6 +12,7 @@ from repro.fpga import (DecodeCmd, FinishRecord, FpgaDevice, FPGAChannel,
 from repro.jpeg import JpegDecodeError, decode_resized, encode
 from repro.memory import MemManager
 from repro.sim import Environment, SeedBank
+from repro.tracing.context import RequestTrace
 
 
 def make_stack(functional=False, pool=None, **mirror_kwargs):
@@ -155,6 +156,33 @@ def test_try_submit_when_full():
     accepted = sum(channel.try_submit_cmd(std_cmd(i))
                    for i in range(depth + 10))
     assert accepted == depth
+
+
+def test_try_submit_marks_the_trace_as_submit_does():
+    # Sent to an idle decoder, a cmd spends its parse in the parser
+    # whichever submit sent it: try_submit_cmd must mark the FIFO wait
+    # before its put queues the parser's marks.
+    def segments(blocking):
+        env, device, mirror, channel = make_stack()
+        cmd = std_cmd()
+        cmd.trace = RequestTrace(lambda: env.now, "host")
+
+        def send(env):
+            yield env.timeout(1e-3)
+            if blocking:
+                yield from channel.submit_cmd(cmd)
+            else:
+                assert channel.try_submit_cmd(cmd)
+
+        env.process(send(env))
+        env.run()
+        return [(g.stage, g.kind, g.start, g.end)
+                for g in cmd.trace.segments]
+
+    marked = segments(blocking=False)
+    assert marked == segments(blocking=True)
+    parse = DEFAULT_TESTBED.fpga_cmd_overhead_s
+    assert ("fpga.parser", "service", 1e-3, 1e-3 + parse) in marked
 
 
 def test_channel_recycle_blocks_use():
