@@ -115,8 +115,8 @@ class _DLBoosterPlane:
                 env, mirror, queue_id=i, injector=injector,
                 name=self._scoped(f"ch{i}")))
         self.dispatcher: Optional[Dispatcher] = None
-        # The reader's completion pump would consume FINISH records the
-        # gpu-direct feed needs, so it exists only on the staged path.
+        # The reader's FINISH consumer would take records the gpu-direct
+        # feed needs, so it exists only on the staged path.
         self.reader = None
         if gpu_direct:
             return

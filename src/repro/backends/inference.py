@@ -9,12 +9,13 @@ counterpart, exactly as in the paper.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from ..calib import Testbed
 from ..engines import CpuCorePool, InferenceEngine
 from ..faults import FaultInjector, RetryPolicy
-from ..fpga import DecodeCmd, FPGAChannel
+from ..fpga import DecodeCmd
 from ..host import BatchSpec, DataCollector
 from ..net import Nic
 from ..sim import Counter, Environment, Resource, scoped_name
@@ -251,16 +252,16 @@ class DLBoosterInferenceBackend(_DLBoosterPlane, _InferenceBackendBase):
 
         Batches overlap: while one batch's decode drains, the next
         batch's cmds are already streaming into the FIFO.  The engine's
-        Trans-Queue depth bounds the overlap; a demux pump routes FINISH
-        records to the right open batch.
+        Trans-Queue depth bounds the overlap; a demux callback routes
+        each FINISH record to its open batch inside the DMA completion
+        that raises it.
         """
         tb = self.testbed
         bs = self.spec.batch_size
         channel = self.channels[engine.gpu.index % len(self.channels)]
         item_bytes = self.spec.item_bytes
         waiters: dict[object, list] = {}  # tag -> [remaining, done_event]
-        self.env.process(self._direct_pump(channel, waiters),
-                         name=f"dlb-direct-pump-{engine.gpu.index}")
+        channel.on_finish(partial(self._direct_finish, waiters))
         seq = 0
         while True:
             dev_batch = yield from engine.trans_queues.free.get()
@@ -295,17 +296,16 @@ class DLBoosterInferenceBackend(_DLBoosterPlane, _InferenceBackendBase):
                 self._direct_publish(engine, dev_batch, items, done,
                                      tag, opened_at))
 
-    def _direct_pump(self, channel: FPGAChannel, waiters: dict):
-        while True:
-            record = yield from channel.wait_one()
-            entry = waiters.get(record.batch_tag)
-            if entry is None:
-                raise RuntimeError(
-                    f"FINISH for unknown direct batch {record.batch_tag}")
-            entry[0] -= 1
-            if entry[0] == 0:
-                del waiters[record.batch_tag]
-                entry[1].succeed()
+    @staticmethod
+    def _direct_finish(waiters: dict, record) -> None:
+        entry = waiters.get(record.batch_tag)
+        if entry is None:
+            raise RuntimeError(
+                f"FINISH for unknown direct batch {record.batch_tag}")
+        entry[0] -= 1
+        if entry[0] == 0:
+            del waiters[record.batch_tag]
+            entry[1].succeed()
 
     def _direct_publish(self, engine: InferenceEngine, dev_batch, items,
                         done, tag=None, opened_at: float = 0.0):

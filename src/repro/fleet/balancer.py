@@ -36,7 +36,7 @@ import numpy as np
 
 from ..data import jpeg_size_sampler
 from ..net import NetRequest
-from ..sim import Counter, Environment
+from ..sim import Counter, Environment, Timeout
 from ..supervision import DeadlineExceeded
 from .recovery import FlightTable, RecoveryConfig, RetryBudget
 from .routing import RoutingPolicy
@@ -154,8 +154,7 @@ class LoadBalancer:
             return False
         if self.recovery is not None and self.recovery.hedging \
                 and len(self.hosts) > 1:
-            self.env.process(self._hedge_watch(flight),
-                             name="hedge-watch")
+            self._arm_hedge(flight)
         return True
 
     def _dispatch(self, flight, kind: str) -> bool:
@@ -190,8 +189,9 @@ class LoadBalancer:
             candidates = [h for h in candidates if h is not host]
         return False
 
-    def _hedge_watch(self, flight):
-        """Speculative second dispatch after a p99-derived delay."""
+    def _arm_hedge(self, flight) -> None:
+        """Arm a speculative second dispatch after a p99-derived delay,
+        read now: one timer callback, no process."""
         delay = self.flights.hedge_delay()
         if delay is None:
             deadline = flight.request.deadline_at
@@ -199,9 +199,12 @@ class LoadBalancer:
                 return
             delay = max(self.recovery.hedge_min_delay_s,
                         self.recovery.hedge_fallback_frac
-                        * (deadline - self.env.now))
-        yield self.env.timeout(delay)
-        if flight.resolved or self.env.now >= flight.request.deadline_at:
+                        * (deadline - self.env._now))
+        Timeout(self.env, delay).callbacks.append(
+            lambda _event: self._hedge(flight))
+
+    def _hedge(self, flight) -> None:
+        if flight.resolved or self.env._now >= flight.request.deadline_at:
             return
         if not self.budget.take():
             self.budget_exhausted.add()
@@ -341,7 +344,7 @@ class OpenLoopSource:
         h, w = self.image_hw
         while True:
             yield self.env.timeout(1.0 / self.rate)
-            now = self.env.now
+            now = self.env._now
             draw = self.rng.random()
             client = bisect.bisect_right(self._cdf, draw)
             done = self.env.event()

@@ -75,7 +75,7 @@ class RetryBudget:
         self.exhausted = Counter(env, name=f"{name}.exhausted")
 
     def _refill(self) -> None:
-        now = self.env.now
+        now = self.env._now
         if now > self._last:
             self._tokens = min(self.burst,
                                self._tokens
@@ -238,7 +238,7 @@ class FlightTable:
         detached here and settled only by this table."""
         self._seq += 1
         flight = Flight(self._seq, request, request.done_event,
-                        self.env.now)
+                        self.env._now)
         self._open[flight.key] = flight
         self.flights.add()
         return flight
@@ -251,7 +251,7 @@ class FlightTable:
         host can only ever settle its own attempt.
         """
         proxy = self.env.event()
-        attempt = Attempt(host, proxy, kind, self.env.now)
+        attempt = Attempt(host, proxy, kind, self.env._now)
         proxy.callbacks.append(
             lambda event, f=flight, a=attempt: self._on_settled(f, a, event))
         copy = dataclasses.replace(
@@ -341,7 +341,7 @@ class FlightTable:
 
     def _resolve_ok(self, flight: Flight, attempt: Attempt) -> None:
         flight.resolved = True
-        latency = self.env.now - flight.request.sent_at
+        latency = self.env._now - flight.request.sent_at
         stat = self._stat(attempt.host.name)
         stat["ok"] += 1
         stat["lat_sum"] += latency

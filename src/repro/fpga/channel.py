@@ -16,9 +16,9 @@ test.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from ..sim import Counter, Environment, TimeWeighted
+from ..sim import Counter, DirectGet, Environment, TimeWeighted
 from ..tracing.context import mark_cmd
 from .decoder import DecodeCmd, FinishRecord, ImageDecoderMirror
 
@@ -56,8 +56,9 @@ class FPGAChannel:
         """Generator: push one packeted cmd into the FPGA FIFO queue.
 
         Blocks when the FIFO is at its hardware depth — the natural
-        backpressure FPGAReader leans on.  Consumes no FINISH records:
-        the caller's completion pump (:meth:`wait_one`/:meth:`drain_out`)
+        backpressure FPGAReader leans on; a cmd that fits at once costs
+        no event.  Consumes no FINISH records: the caller's completion
+        side (:meth:`on_finish`, :meth:`wait_one` or :meth:`drain_out`)
         is their only consumer, so a record pending during a submit is
         never lost.
         """
@@ -105,6 +106,34 @@ class FPGAChannel:
         self.completed.add()
         self._track(-1)
         return record
+
+    def on_finish(self, fn: Callable[[FinishRecord], None]) -> None:
+        """Callback form of a :meth:`wait_one` loop: hand each FINISH
+        record to ``fn`` inside the DMA completion that raises it, with
+        no event of its own, counting it as :meth:`wait_one` does.  The
+        consumer stays parked on the decoder's finish queue until the
+        channel is recycled; the record it is parked for then is still
+        handed over, as to a :meth:`wait_one` already waiting."""
+        self._check()
+        queue = self.mirror.finish_queue
+
+        def finished(record: FinishRecord) -> None:
+            # A loop, not recursion: records queued while ``fn`` ran are
+            # handed over here, one after another.
+            while True:
+                self.completed.add()
+                self._track(-1)
+                fn(record)
+                if self._recycled:
+                    return
+                ok, record = queue.take(waiter)
+                if not ok:
+                    return
+
+        waiter = DirectGet(queue, finished)
+        ok, record = queue.take(waiter)
+        if ok:
+            finished(record)
 
     def recycle(self) -> None:
         """Algorithm 1 line 18: release channel state at shutdown."""

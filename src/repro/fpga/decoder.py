@@ -282,8 +282,11 @@ class _CmdFifo:
         return self._tandem.waiting()
 
     def put(self, cmd: DecodeCmd):
-        """Generator: blocks while the FIFO is full."""
-        yield self._tandem.put(cmd)
+        """Generator: blocks while the FIFO is full.  A cmd that fits
+        now is admitted inside the call, with no event."""
+        pending = self._tandem.offer(cmd)
+        if pending is not None:
+            yield pending
 
     def try_put(self, cmd: DecodeCmd) -> bool:
         """Non-blocking put; False when the FIFO is full."""
@@ -380,20 +383,24 @@ class _Tandem:
         self._step_p()
         self._pump()
 
-    def put(self, cmd: DecodeCmd) -> Event:
-        """Admit ``cmd`` at max(now, start_P(n - depth)); the returned
-        event fires at the admission."""
+    def offer(self, cmd: DecodeCmd) -> Optional[Event]:
+        """Admit ``cmd`` at max(now, start_P(n - depth)).  Returns None
+        when that is now; otherwise an event that fires at the
+        admission."""
         env = self.env
-        event = Event(env)
-        if self.puts:
-            self.puts.append((cmd, env._now, event))
-            return event
-        room = self.p_starts.at(self.admitted - self.depth)
-        if room is None:
-            self.puts.append((cmd, env._now, event))
-            return event
         now = env._now
-        self._admit(cmd, now, room if room > now else now, event)
+        room = None if self.puts else \
+            self.p_starts.at(self.admitted - self.depth)
+        if room is None:
+            event = Event(env)
+            self.puts.append((cmd, now, event))
+            return event
+        if room > now:
+            event = Event(env)
+            self._admit(cmd, now, room, event)
+        else:
+            event = None
+            self._admit(cmd, now, now, None)
         self._step_p()
         if self.dirty:
             self._pump()

@@ -91,12 +91,13 @@ class _PendingCmd:
 
 
 class FPGAReader:
-    """Algorithm 1, split into a submission loop and a completion pump.
+    """Algorithm 1, split into a submission loop and a completion side.
 
-    The pump realises the "pulls the processing status with the best
-    effort" half of the async design: completions are absorbed the
-    moment the FINISH arbiter raises them, independent of submission
-    progress, so a slow consumer never stalls the FPGA FIFO.
+    The completion side realises the "pulls the processing status with
+    the best effort" half of the async design: each channel hands every
+    FINISH record to :meth:`_handle_record` inside the DMA completion
+    that raises it (:meth:`FPGAChannel.on_finish`), independent of
+    submission progress, so a slow consumer never stalls the FPGA FIFO.
     """
 
     def __init__(self, env: Environment, testbed: Testbed,
@@ -157,8 +158,7 @@ class FPGAReader:
         self._rr = 0
         self.running = True
         for ch in self.channels:
-            self.env.process(self._completion_pump(ch),
-                             name=f"{name}.pump{ch.queue_id}")
+            ch.on_finish(self._handle_record)
         self.env.process(self._watchdog(), name=f"{name}.watchdog")
 
     # -- submission side (Algorithm 1 main loop) ---------------------------
@@ -198,7 +198,7 @@ class FPGAReader:
         """Admission control at the reader boundary: dead work (deadline
         already passed) is accepted-and-shed instead of decoded.  The
         item's issuer is failed with ``DeadlineExceeded``."""
-        if not self.shed_deadlines or deadline_of(item) > self.env.now:
+        if not self.shed_deadlines or deadline_of(item) > self.env._now:
             return False
         self.items_accepted.add()
         self.shed_expired.add()
@@ -240,7 +240,7 @@ class FPGAReader:
             if self.heartbeat is not None:
                 self.heartbeat.running()
             batch = _OpenBatch(unit=unit, tag=self._next_tag,
-                               opened_at=self.env.now)
+                               opened_at=self.env._now)
             self._next_tag += 1
             self._open[batch.tag] = batch
         slot = batch.filled
@@ -260,7 +260,7 @@ class FPGAReader:
         if self.breaker is not None and self.breaker.is_open \
                 and self.cpu is not None and not self.breaker.take_probe():
             pend = _PendingCmd(cmd=cmd, batch=batch, slot=slot, item=item,
-                               submitted_at=self.env.now)
+                               submitted_at=self.env._now)
             self.env.process(self._cpu_fallback(pend),
                              name=f"{self.name}.failover{cmd.cmd_id}")
         else:
@@ -271,11 +271,12 @@ class FPGAReader:
             self._rr += 1
             yield from ch.submit_cmd(cmd)                     # line 13
             self.items_submitted.add()
+            now = self.env._now
             self._register(_PendingCmd(
                 cmd=cmd, batch=batch, slot=slot, item=item, attempts=0,
-                deadline_at=self.env.now + self._deadline_policy.deadline_for(
+                deadline_at=now + self._deadline_policy.deadline_for(
                     self._deadline_estimate(cmd), 0),
-                submitted_at=self.env.now))
+                submitted_at=now))
         if batch.filled < self.spec.batch_size:
             return batch
         batch.closed = True
@@ -415,11 +416,6 @@ class FPGAReader:
         self._resolve_ok(pend, via="cpu")
 
     # -- completion side -----------------------------------------------------
-    def _completion_pump(self, ch: FPGAChannel):
-        while self.running:
-            record = yield from ch.wait_one()
-            self._handle_record(record)
-
     def _handle_record(self, record) -> None:
         pend = self._pending.pop(record.cmd_id, None)
         if pend is None:
@@ -460,7 +456,7 @@ class FPGAReader:
             self.items_decoded_fpga.add()
         trace = getattr(pend.item, "trace", None)
         self.decode_latency.record(
-            max(0.0, self.env.now - pend.submitted_at),
+            max(0.0, self.env._now - pend.submitted_at),
             trace_id=trace.trace_id if trace is not None else None)
         if trace is not None and not trace.is_finished:
             # Decoded; the slot now waits for its batch siblings.

@@ -82,11 +82,11 @@ class ClientFleet:
             done = self.env.event()
             request = NetRequest(
                 request_id=rid, client_id=client_id, size_bytes=size,
-                height=h, width=w, channels=3, sent_at=self.env.now,
+                height=h, width=w, channels=3, sent_at=self.env._now,
                 payload=(self._payload_factory(rid)
                          if self._payload_factory else None),
                 done_event=done,
-                deadline_at=(self.env.now + self.deadline_s
+                deadline_at=(self.env._now + self.deadline_s
                              if self.deadline_s is not None else math.inf))
             self.sent.add()
             yield from self.nic.deliver(request)
@@ -100,7 +100,7 @@ class ClientFleet:
             self.completed.add()
             trace = getattr(request, "trace", None)
             self.rtt.record(
-                self.env.now - request.sent_at,
+                self.env._now - request.sent_at,
                 trace_id=trace.trace_id if trace is not None else None)
             if self.think_time_s:
                 yield self.env.timeout(self.think_time_s)

@@ -68,7 +68,7 @@ class Nic:
         self.packets.add(npkts)
         # Host-side packet processing (interrupt + protocol) burns CPU.
         self._cpu.charge(npkts * self.per_packet_s, "net-rx")
-        request.received_at = self.env.now
+        request.received_at = self.env._now
         if self.rtracker is not None:
             # Trace origin: the request exists for the pipeline the
             # moment the NIC has its bytes; everything until the

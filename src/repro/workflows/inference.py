@@ -8,6 +8,7 @@ the three panels of Figs. 7, 8 and 9.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -98,6 +99,9 @@ def run_inference(cfg: InferenceConfig,
 
 def _run_inference(cfg: InferenceConfig, testbed: Testbed,
                    registry: Optional[MetricsRegistry]) -> InferenceResult:
+    # A finished run is cyclic garbage that only a full collection
+    # frees; collect it before building the next, as training does.
+    gc.collect()
     env = Environment()
     seeds = SeedBank(cfg.seed)
 

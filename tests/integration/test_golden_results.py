@@ -21,6 +21,7 @@ from repro.experiments.fleet import serve_autoscale, serve_fleet
 from repro.faults import FaultPlan, RetryPolicy
 from repro.sim.core import total_events_processed
 from repro.sweep import canonical_json
+from repro.telemetry import TelemetryConfig
 from repro.workflows import (InferenceConfig, TrainingConfig, run_inference,
                              run_training)
 
@@ -41,16 +42,24 @@ CPU_ONLINE_DIGEST = (
     "0de5a1d8d8e363ec78de241a7055d68fc0f559521cf06c9ced158e77c7e1cbaf")
 NVME_CHAOS_DIGEST = (
     "e1cb4a776e6173a2185ad5c3b6f2e5b23115e304a7e4e2027b032e06e05368e2")
+# FINISH hand-offs no other golden run covers: the gpu-direct feed's, and
+# a registry snapshot whose cmd FIFO fills.
+GPU_DIRECT_CELL_DIGEST = (
+    "85deb3f0ad84f2f598bcb2e8af366bb7a80c9ea50d68f7886ac17d6de755736b")
+TRAINING_REGISTRY_DIGEST = (
+    "9edf49b6a20ecad6a76a343b1d5dbf17cfed78cc18d63ba6e92efcef695e8345")
 
 # Kernel events each run processes.
-FIG7_CELL_EVENTS = 22_843
-TRAINING_20K_EVENTS = 116_652
-FLEET_K4_EVENTS = 37_385
-CHAOS_K4_EVENTS = 54_755
-AUTOSCALE_EVENTS = 135_419
-TWO_DECODERS_EVENTS = 117_152
+FIG7_CELL_EVENTS = 15_526
+TRAINING_20K_EVENTS = 92_550
+FLEET_K4_EVENTS = 30_477
+CHAOS_K4_EVENTS = 40_211
+AUTOSCALE_EVENTS = 110_791
+TWO_DECODERS_EVENTS = 89_008
 CPU_ONLINE_EVENTS = 28_876
-NVME_CHAOS_EVENTS = 188_272
+NVME_CHAOS_EVENTS = 163_968
+GPU_DIRECT_CELL_EVENTS = 15_410
+TRAINING_REGISTRY_EVENTS = 93_567
 
 
 def digest(doc) -> str:
@@ -72,6 +81,14 @@ def test_fig7_cell_golden_digest():
     assert events == FIG7_CELL_EVENTS
 
 
+def test_gpu_direct_fig7_cell_golden_digest():
+    res, events = counted(lambda: run_inference(InferenceConfig(
+        model="googlenet", backend="dlbooster", batch_size=32,
+        warmup_s=0.1, measure_s=0.3, seed=0, gpu_direct=True)))
+    assert digest(dataclasses.asdict(res)) == GPU_DIRECT_CELL_DIGEST
+    assert events == GPU_DIRECT_CELL_EVENTS
+
+
 def training_20k(**kw):
     return counted(lambda: run_training(TrainingConfig(
         model="alexnet", dataset_size=20_000, warmup_s=0.1, measure_s=0.3,
@@ -82,6 +99,17 @@ def test_training_golden_digest():
     res, events = training_20k(backend="dlbooster")
     assert digest(dataclasses.asdict(res)) == TRAINING_20K_DIGEST
     assert events == TRAINING_20K_EVENTS
+
+
+def test_training_registry_snapshot_golden_digest():
+    """The cmd FIFO's dated monitors, on a run that fills the FIFO."""
+    res, events = training_20k(backend="dlbooster",
+                               telemetry=TelemetryConfig())
+    snapshot = res.extras["telemetry"]["metrics"]
+    assert snapshot["image-decoder-0.fifo.occupancy"]["max"] == 64.0
+    assert snapshot["image-decoder-0.fifo.wait"]["count"] == 20_000
+    assert digest(snapshot) == TRAINING_REGISTRY_DIGEST
+    assert events == TRAINING_REGISTRY_EVENTS
 
 
 def test_two_decoders_share_one_disk_golden_digest():
